@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iotrace"
 	"repro/internal/sddf"
 )
 
@@ -62,5 +63,29 @@ func TestSmokeDumpAndConvert(t *testing.T) {
 func TestSmokeDumpUsage(t *testing.T) {
 	if err := run(nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing file argument accepted")
+	}
+}
+
+func TestSmokeDumpRejectsMistypedTrace(t *testing.T) {
+	d := sddf.EventDescriptor()
+	d.Fields[0].Type = sddf.TString // seq
+	r := sddf.EventRecord(iotrace.Event{Op: iotrace.OpRead, Mode: iotrace.ModeUnix})
+	r.Values[0] = "not a number"
+	var buf bytes.Buffer
+	bw, _ := sddf.NewBinaryWriter(&buf)
+	if err := bw.WriteDescriptor(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.WriteRecord(r); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	path := filepath.Join(t.TempDir(), "mistyped.sddf")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{path}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), `"seq"`) {
+		t.Fatalf("mistyped trace: got %v, want an error naming field \"seq\"", err)
 	}
 }

@@ -173,6 +173,34 @@ func TestFilters(t *testing.T) {
 	}
 }
 
+func TestOpFiltersIgnoreUndefinedOps(t *testing.T) {
+	events := []iotrace.Event{
+		{Op: iotrace.Op(-1)},
+		{Op: iotrace.Op(iotrace.NumOps)},
+		{Op: iotrace.OpRead},
+	}
+	if got := FilterOps(events, iotrace.OpRead, iotrace.Op(99)); len(got) != 1 || got[0].Op != iotrace.OpRead {
+		t.Fatalf("op filter %v", got)
+	}
+	if got := OpTimeline(events, iotrace.Op(-1), iotrace.OpRead); len(got) != 1 {
+		t.Fatalf("timeline %v", got)
+	}
+}
+
+func TestTimelineKeepsTraceOrderAtEqualTimes(t *testing.T) {
+	var events []iotrace.Event
+	for i := 0; i < 50; i++ {
+		events = append(events, iotrace.Event{Op: iotrace.OpWrite, Node: i, Start: sim.Time(i%3) * sim.Second})
+	}
+	pts := WriteTimeline(events)
+	for i := 1; i < len(pts); i++ {
+		a, b := pts[i-1], pts[i]
+		if a.T > b.T || (a.T == b.T && a.Node > b.Node) {
+			t.Fatalf("points %d and %d out of order: %+v %+v", i-1, i, a, b)
+		}
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	pts := []Point{{T: sim.Second + sim.Time(500000), Y: 42, Node: 3, File: 7, Op: iotrace.OpWrite}}

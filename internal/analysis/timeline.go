@@ -1,10 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/iotrace"
 	"repro/internal/sim"
@@ -25,19 +26,36 @@ type Point struct {
 // operation classes — the shape of Figures 2-4, 6-7 and 9-14. Points are
 // returned in time order.
 func OpTimeline(events []iotrace.Event, ops ...iotrace.Op) []Point {
-	want := map[iotrace.Op]bool{}
-	for _, op := range ops {
-		want[op] = true
-	}
+	want := maskOf(ops)
 	var pts []Point
 	for _, e := range events {
-		if !want[e.Op] {
-			continue
+		if want.has(e.Op) {
+			pts = append(pts, Point{T: e.Start, Y: e.Bytes, Node: e.Node, File: e.File, Op: e.Op})
 		}
-		pts = append(pts, Point{T: e.Start, Y: e.Bytes, Node: e.Node, File: e.File, Op: e.Op})
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	sortByTime(pts)
 	return pts
+}
+
+// opMask is a set of operation classes.
+type opMask [iotrace.NumOps]bool
+
+func maskOf(list []iotrace.Op) opMask {
+	var s opMask
+	for _, op := range list {
+		if op.Valid() {
+			s[op] = true
+		}
+	}
+	return s
+}
+
+func (s *opMask) has(op iotrace.Op) bool { return op.Valid() && s[op] }
+
+// sortByTime orders timeline points by time, keeping trace order among
+// points at the same instant.
+func sortByTime(pts []Point) {
+	slices.SortStableFunc(pts, func(a, b Point) int { return cmp.Compare(a.T, b.T) })
 }
 
 // ReadTimeline returns the read-operation timeline (synchronous plus
@@ -62,13 +80,22 @@ func FileTimeline(events []iotrace.Event) []Point {
 			pts = append(pts, Point{T: e.Start, Y: int64(e.File), Node: e.Node, File: e.File, Op: e.Op})
 		}
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
+	sortByTime(pts)
 	return pts
 }
 
 // FilterPhase keeps only events captured during the named application phase.
 func FilterPhase(events []iotrace.Event, phase string) []iotrace.Event {
-	var out []iotrace.Event
+	n := 0
+	for _, e := range events {
+		if e.Phase == phase {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]iotrace.Event, 0, n)
 	for _, e := range events {
 		if e.Phase == phase {
 			out = append(out, e)
@@ -90,13 +117,10 @@ func FilterTime(events []iotrace.Event, from, to sim.Time) []iotrace.Event {
 
 // FilterOps keeps events of the given operation classes.
 func FilterOps(events []iotrace.Event, ops ...iotrace.Op) []iotrace.Event {
-	want := map[iotrace.Op]bool{}
-	for _, op := range ops {
-		want[op] = true
-	}
+	want := maskOf(ops)
 	var out []iotrace.Event
 	for _, e := range events {
-		if want[e.Op] {
+		if want.has(e.Op) {
 			out = append(out, e)
 		}
 	}

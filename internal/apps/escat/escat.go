@@ -176,6 +176,30 @@ func (a *App) inputBytes() int64 {
 // every-10th-cycle rule reproduces that ratio.
 func pointerCached(it int) bool { return it > 0 && it%10 == 0 }
 
+// TraceEvents implements workload.TraceSizer: the exact event count of a
+// fresh run (a resumed one skips initialization and early cycles).
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	reads := 0
+	for _, runs := range a.inputProfiles() {
+		for _, r := range runs {
+			reads += r.count
+		}
+	}
+	init := reads + 3*2 + 2 // reads, open+close per input file, two rewinds
+	// Per node and staging file: open, the initial seek, one write per
+	// cycle, one repositioning seek per uncached next cycle, the reload
+	// read and the close.
+	perFile := 1 + 1 + cfg.Iterations + 1 + 1
+	for next := 1; next < cfg.Iterations; next++ {
+		if !pointerCached(next) {
+			perFile++
+		}
+	}
+	output := 3 * (2 + cfg.OutputWrites) // open, writes, close per output file
+	return init + cfg.Nodes*cfg.OutcomeFiles*perFile + output
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg

@@ -214,6 +214,35 @@ const (
 	pscfLargeBytes      = 100000
 )
 
+// TraceEvents implements workload.TraceSizer: the exact event count of a
+// fresh run (a resumed one skips psetup, pargos and early passes).
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	psetup := 4 + 2 + 2 + 3 // opens and creates, tail seeks and writes, closes
+	for _, runs := range []map[string][]readRun{psetupReads, psetupWrites} {
+		for _, rs := range runs {
+			for _, r := range rs {
+				psetup += r.count
+			}
+		}
+	}
+	// Node 0 opens, rewinds and reads both setup files (145 reads) and
+	// writes and flushes three header records; every node creates, rewinds,
+	// sizes and closes its integral file and writes and flushes each record.
+	pargos := 2*2 + 145 + 3*2 + 1 + cfg.Nodes*4 + 2*cfg.IntegralRecords + residualFlushNodes(cfg.Nodes)
+	// Node 0's side files: five opens, two rewinds, seven accesses, four
+	// closes; then per pass its scratch files and side traffic, and every
+	// node's rewind and record reads; then node 0's convergence reads.
+	perPass := 2*pscfPassScratch + pscfPassSeeks + pscfPassSmallReads + pscfPassMidReads +
+		pscfPassSmallWrites + pscfPassMidWrites + pscfPassLargeWrites + cfg.Nodes
+	if !cfg.RecomputeIntegrals {
+		perPass += cfg.IntegralRecords
+	}
+	extra := min(cfg.ExtraSCFRecords, a.RecordsForNode(0))
+	pscf := 5 + 2 + 7 + 4 + cfg.Nodes*2 + cfg.SCFPasses*perPass + 1 + extra
+	return psetup + pargos + pscf
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg

@@ -174,6 +174,21 @@ func (a *App) TerrainBytes() int64 {
 	return total
 }
 
+// TraceEvents implements workload.TraceSizer: the exact event count of a
+// run.
+func (a *App) TraceEvents() int {
+	cfg := a.cfg
+	n := 2 + 1 + cfg.HeaderReads // render.rc open+close, views open, header reads
+	for _, tf := range cfg.Terrain {
+		n += 2 + 2*tf.Reads // open, seek, then an issue and a wait per read
+	}
+	perFrame := 1 // the view read
+	if !cfg.HiPPiOutput {
+		perFrame += 1 + 3 + 1 // create, header/image/trailer writes, close
+	}
+	return n + cfg.Frames*perFrame
+}
+
 // Launch implements workload.App.
 func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 	cfg := a.cfg

@@ -7,7 +7,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/apps/escat"
@@ -58,8 +60,8 @@ type Study struct {
 	// false only real-time reductions run (Pablo's low-perturbation mode).
 	KeepTrace bool
 
-	// TraceReserve pre-sizes the trace capture buffers (events). Zero uses
-	// a small default suitable for paper-scale runs; scenario-generated
+	// TraceReserve pre-sizes the trace capture buffers (events). Zero takes
+	// the application's own bound (workload.TraceSizer); scenario-generated
 	// fleets set it from their expected event volume so capture never
 	// reallocates mid-run.
 	TraceReserve int
@@ -148,6 +150,11 @@ type Report struct {
 	ReplicationFactor int
 	repairOn          bool
 
+	// phases splits Events by phase label on first use (see phaseEvents);
+	// Events must not change after that.
+	phaseOnce sync.Once
+	phases    map[string][]iotrace.Event
+
 	// Cache is the I/O-node cache effectiveness report; nil when the
 	// study ran without caching.
 	Cache *analysis.CacheReport
@@ -175,11 +182,6 @@ type Report struct {
 
 // appErr lets Run surface failures collected inside node programs.
 type appErr interface{ Err() error }
-
-// traceReserve is the initial keep-trace buffer capacity (events). Large
-// enough to skip the first ten append doublings, small enough (~90 KB of
-// Events) not to burden the many short runs inside a sweep.
-const traceReserve = 1024
 
 // runtime bundles everything one simulation attempt needs: the machine, the
 // instrumented file system stack, and the application.
@@ -242,25 +244,17 @@ func prepareMachine(s Study, m *workload.Machine) (Study, *runtime, error) {
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}
-	reserve := traceReserve
-	if s.TraceReserve > 0 {
-		reserve = s.TraceReserve
-	}
 	rt := &runtime{
 		m:        m,
 		tracer:   pablo.NewTracer(s.KeepTrace),
 		lifetime: pablo.NewLifetimeReducer(),
 		windows:  pablo.NewWindowReducer(s.WindowWidth),
 	}
-	// Even the small studies capture thousands of events; seeding the buffer
-	// skips the early growth reallocations on the per-event capture path.
-	rt.tracer.Reserve(reserve)
 	rt.tracer.Attach(rt.lifetime)
 	rt.tracer.Attach(rt.windows)
 
 	if s.Policy != nil {
 		rt.physTracer = pablo.NewTracer(s.KeepTrace)
-		rt.physTracer.Reserve(reserve)
 		m.PFS.SetRecorder(rt.physTracer)
 		rt.layer, err = ppfs.New(m.Eng, m.PFS, *s.Policy)
 		if err != nil {
@@ -286,6 +280,16 @@ func prepareMachine(s Study, m *workload.Machine) (Study, *runtime, error) {
 	rt.app, err = buildApp(s)
 	if err != nil {
 		return s, nil, err
+	}
+	// Size the capture buffers once, before the first event, so the
+	// per-event capture path never copies the trace to grow it.
+	reserve := s.TraceReserve
+	if ts, ok := rt.app.(workload.TraceSizer); ok && reserve <= 0 {
+		reserve = ts.TraceEvents()
+	}
+	rt.tracer.Reserve(reserve)
+	if rt.physTracer != nil {
+		rt.physTracer.Reserve(reserve)
 	}
 	return s, rt, nil
 }
@@ -526,12 +530,47 @@ func buildApp(s Study) (workload.App, error) {
 // PhaseSummary computes the operation summary for one application phase
 // (HTF's per-program tables are phase summaries).
 func (r *Report) PhaseSummary(phase string) analysis.OpSummary {
-	return analysis.Summarize(analysis.FilterPhase(r.Events, phase))
+	return analysis.Summarize(r.phaseEvents(phase))
 }
 
 // PhaseSizes computes the size-bucket table for one phase.
 func (r *Report) PhaseSizes(phase string) analysis.SizeTable {
-	return analysis.Sizes(analysis.FilterPhase(r.Events, phase))
+	return analysis.Sizes(r.phaseEvents(phase))
+}
+
+// phaseEvents returns the events captured during the named phase, in trace
+// order: analysis.FilterPhase(r.Events, phase), computed for every phase in
+// one pass on first use and shared by later calls. The result may alias
+// r.Events; callers must not modify it.
+func (r *Report) phaseEvents(phase string) []iotrace.Event {
+	r.phaseOnce.Do(func() { r.phases = splitPhases(r.Events) })
+	return r.phases[phase]
+}
+
+// splitPhases partitions events by phase label, keeping trace order within
+// each phase. Labels come in long runs: a phase that is one run of the trace
+// is a sub-slice of events, and only a phase spread over several runs is
+// gathered into an exact-size slice of its own.
+func splitPhases(events []iotrace.Event) map[string][]iotrace.Event {
+	runs := make(map[string][][]iotrace.Event)
+	for i := 0; i < len(events); {
+		j := i + 1
+		for j < len(events) && events[j].Phase == events[i].Phase {
+			j++
+		}
+		ph := events[i].Phase
+		runs[ph] = append(runs[ph], events[i:j:j])
+		i = j
+	}
+	phases := make(map[string][]iotrace.Event, len(runs))
+	for ph, rs := range runs {
+		if len(rs) == 1 {
+			phases[ph] = rs[0]
+		} else {
+			phases[ph] = slices.Concat(rs...)
+		}
+	}
+	return phases
 }
 
 // Purposes classifies every file of the run into the §2 taxonomy

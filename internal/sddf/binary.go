@@ -16,6 +16,13 @@ const (
 	packetRecord     byte = 'R'
 )
 
+// headerLen is the size of a packet header: a little-endian uint32 payload
+// length, then the packet kind.
+const headerLen = 5
+
+// maxPacketLen bounds a packet's declared payload length.
+const maxPacketLen = 1 << 26
+
 // maxStringLen bounds decoded string sizes to keep malformed streams from
 // allocating unboundedly.
 const maxStringLen = 1 << 20
@@ -25,6 +32,7 @@ const maxStringLen = 1 << 20
 type BinaryWriter struct {
 	w     *bufio.Writer
 	descs map[int]Descriptor
+	buf   []byte // scratch for the packet being built, reused across packets
 }
 
 // NewBinaryWriter writes the stream header and returns a writer.
@@ -41,7 +49,7 @@ func (bw *BinaryWriter) WriteDescriptor(d Descriptor) error {
 	if _, dup := bw.descs[d.Tag]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateTag, d.Tag)
 	}
-	var buf []byte
+	buf := bw.begin()
 	buf = binary.AppendUvarint(buf, uint64(d.Tag))
 	buf = appendString(buf, d.Name)
 	buf = binary.AppendUvarint(buf, uint64(len(d.Fields)))
@@ -50,7 +58,7 @@ func (bw *BinaryWriter) WriteDescriptor(d Descriptor) error {
 		buf = append(buf, byte(f.Type))
 	}
 	bw.descs[d.Tag] = d
-	return bw.packet(packetDescriptor, buf)
+	return bw.emit(packetDescriptor, buf)
 }
 
 // WriteRecord validates the record against its descriptor and emits it.
@@ -62,7 +70,7 @@ func (bw *BinaryWriter) WriteRecord(r Record) error {
 	if err := validate(d, r); err != nil {
 		return err
 	}
-	var buf []byte
+	buf := bw.begin()
 	buf = binary.AppendUvarint(buf, uint64(r.Tag))
 	for _, v := range r.Values {
 		switch x := v.(type) {
@@ -76,20 +84,21 @@ func (bw *BinaryWriter) WriteRecord(r Record) error {
 			buf = appendString(buf, x)
 		}
 	}
-	return bw.packet(packetRecord, buf)
+	return bw.emit(packetRecord, buf)
 }
 
 // Flush pushes buffered output to the underlying writer.
 func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
 
-func (bw *BinaryWriter) packet(kind byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = kind
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := bw.w.Write(payload)
+// begin starts a packet in the scratch buffer, leaving room for its header.
+func (bw *BinaryWriter) begin() []byte { return append(bw.buf[:0], make([]byte, headerLen)...) }
+
+// emit fills in the header of a packet built from begin and writes it.
+func (bw *BinaryWriter) emit(kind byte, pkt []byte) error {
+	binary.LittleEndian.PutUint32(pkt, uint32(len(pkt)-headerLen))
+	pkt[headerLen-1] = kind
+	bw.buf = pkt
+	_, err := bw.w.Write(pkt)
 	return err
 }
 
@@ -100,8 +109,9 @@ func appendString(buf []byte, s string) []byte {
 
 // BinaryReader decodes a binary SDDF stream.
 type BinaryReader struct {
-	r     *bufio.Reader
-	descs map[int]Descriptor
+	r       *bufio.Reader
+	descs   map[int]Descriptor
+	payload []byte // the current packet's payload, reused across packets
 }
 
 // NewBinaryReader checks the stream header and returns a reader.
@@ -120,29 +130,46 @@ func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
 // Next returns the next stream item: a Descriptor or a Record. At end of
 // stream it returns io.EOF.
 func (br *BinaryReader) Next() (any, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(br.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: truncated packet header: %v", ErrBadFormat, err)
+	kind, payload, err := br.readPacket()
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > 1<<26 {
-		return nil, fmt.Errorf("%w: packet of %d bytes", ErrBadFormat, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br.r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated packet: %v", ErrBadFormat, err)
-	}
-	switch hdr[4] {
+	switch kind {
 	case packetDescriptor:
 		return br.decodeDescriptor(payload)
 	case packetRecord:
 		return br.decodeRecord(payload)
 	default:
-		return nil, fmt.Errorf("%w: unknown packet kind %q", ErrBadFormat, hdr[4])
+		return nil, errPacketKind(kind)
 	}
+}
+
+// readPacket reads the next packet. The payload aliases a buffer the next
+// call overwrites. At end of stream it returns io.EOF.
+func (br *BinaryReader) readPacket() (kind byte, payload []byte, err error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(br.r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return 0, nil, io.EOF
+		}
+		return 0, nil, fmt.Errorf("%w: truncated packet header: %v", ErrBadFormat, err)
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > maxPacketLen {
+		return 0, nil, fmt.Errorf("%w: packet of %d bytes", ErrBadFormat, n)
+	}
+	if cap(br.payload) < int(n) {
+		br.payload = make([]byte, n)
+	}
+	payload = br.payload[:n]
+	if _, err := io.ReadFull(br.r, payload); err != nil {
+		return 0, nil, fmt.Errorf("%w: truncated packet: %v", ErrBadFormat, err)
+	}
+	return hdr[headerLen-1], payload, nil
+}
+
+func errPacketKind(kind byte) error {
+	return fmt.Errorf("%w: unknown packet kind %q", ErrBadFormat, kind)
 }
 
 // Descriptors returns the descriptors seen so far, keyed by tag.
@@ -171,17 +198,23 @@ func (c *byteCursor) varint() (int64, error) {
 	return v, nil
 }
 
-func (c *byteCursor) str() (string, error) {
+// bytes returns a length-prefixed string's bytes, aliasing the buffer.
+func (c *byteCursor) bytes() ([]byte, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > maxStringLen || c.pos+int(n) > len(c.buf) {
-		return "", fmt.Errorf("%w: bad string length %d", ErrBadFormat, n)
+		return nil, fmt.Errorf("%w: bad string length %d", ErrBadFormat, n)
 	}
-	s := string(c.buf[c.pos : c.pos+int(n)])
+	b := c.buf[c.pos : c.pos+int(n)]
 	c.pos += int(n)
-	return s, nil
+	return b, nil
+}
+
+func (c *byteCursor) str() (string, error) {
+	b, err := c.bytes()
+	return string(b), err
 }
 
 func (c *byteCursor) f64() (float64, error) {

@@ -1,7 +1,6 @@
 package sddf
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/iotrace"
@@ -103,13 +102,7 @@ func RegionRecord(r *pablo.RegionSummary, size int64) Record {
 func WriteSummaries(w io.Writer, ascii bool,
 	lt *pablo.LifetimeReducer, win *pablo.WindowReducer, reg *pablo.RegionReducer,
 	end sim.Time) error {
-	var tw traceWriter
-	var err error
-	if ascii {
-		tw, err = NewASCIIWriter(w)
-	} else {
-		tw, err = NewBinaryWriter(w)
-	}
+	tw, err := newWriter(w, ascii)
 	if err != nil {
 		return err
 	}
@@ -157,18 +150,7 @@ type SummaryCounts struct {
 // CountSummaries decodes a summary stream and tallies it (validating every
 // record against its descriptor on the way).
 func CountSummaries(r io.Reader) (SummaryCounts, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return SummaryCounts{}, fmt.Errorf("%w: empty stream", ErrBadFormat)
-	}
-	combined := io.MultiReader(byteReader(first[0]), r)
-	var tr traceReader
-	var err error
-	if first[0] == '#' {
-		tr, err = NewASCIIReader(combined)
-	} else {
-		tr, err = NewBinaryReader(combined)
-	}
+	tr, err := newReader(r)
 	if err != nil {
 		return SummaryCounts{}, err
 	}

@@ -107,6 +107,13 @@ type App interface {
 	Launch(m *Machine, fs FS) error
 }
 
+// TraceSizer is an optional App method set: TraceEvents bounds from above
+// the events the app's own calls add to a kept trace for its configuration
+// (a checkpointer's I/O comes on top), so capture can size its buffer once.
+type TraceSizer interface {
+	TraceEvents() int
+}
+
 // Run launches the app and executes the simulation to completion.
 func Run(m *Machine, fs FS, app App) error {
 	if err := app.Launch(m, fs); err != nil {
