@@ -1,10 +1,15 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/burst"
 	"repro/internal/cache"
+	"repro/internal/ckpt"
 	"repro/internal/exec"
 	"repro/internal/integrity"
 )
@@ -27,6 +32,12 @@ func renderAllSweeps(t *testing.T) string {
 		t.Fatalf("ModeCacheSweep: %v", err)
 	}
 	out += analysis.RenderCacheSweep("Mode cache sweep:", modeRows)
+
+	burstRows, err := BurstSweep(true, ckpt.Config{Interval: 1, BytesPerNode: 1 << 20}, burst.DefaultConfig())
+	if err != nil {
+		t.Fatalf("BurstSweep: %v", err)
+	}
+	out += analysis.RenderBurstSweep("Burst sweep:", burstRows)
 
 	corrRows, err := CorruptionSweep(true, 11)
 	if err != nil {
@@ -77,4 +88,28 @@ func TestSweepsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if len(sequential) == 0 {
 		t.Fatal("sweeps rendered nothing")
 	}
+	checkGolden(t, "sweeps.golden", sequential)
+}
+
+// checkGolden compares rendered sweep text with the checked-in
+// testdata/<name>, so a change to any row, figure or format fails here — not
+// only a difference between worker counts. A deliberate model change
+// rewrites the file from the new render.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(raw)
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d differs:\n got: %q\nwant: %q", name, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines rendered, golden has %d", name, len(gl), len(wl))
 }
