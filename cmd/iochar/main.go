@@ -178,25 +178,21 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, scenario.RenderFleetRun(fr))
 		report = fr.Cells[0]
-	} else if ioShards > 0 {
-		// Intra-machine partitioned run: the compute partition on a frontend
-		// shard, the I/O nodes split across -ioshards server shards. Results
-		// match at any -shards worker bound.
+	} else {
+		// With -ioshards the compute partition runs on a frontend shard and
+		// the I/O nodes are split across server shards (results match at any
+		// -shards worker bound); without it RunSharded is the serial Run.
 		sr, err := core.RunSharded(study, core.ShardedOptions{
 			IOShards: ioShards, Workers: shardFlags.Count(), Seed: *seed,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "Partitioned machine: %d fabric shards (%d workers), %d cross-shard mails\n",
-			sr.Fabric.Shards, sr.Fabric.Workers, sr.Fabric.Mail)
-		report = sr.Report
-	} else {
-		var err error
-		report, err = core.Run(study)
-		if err != nil {
-			return err
+		if sr.Fabric.Shards > 0 {
+			fmt.Fprintf(out, "Partitioned machine: %d fabric shards (%d workers), %d cross-shard mails\n",
+				sr.Fabric.Shards, sr.Fabric.Workers, sr.Fabric.Mail)
 		}
+		report = sr.Report
 	}
 
 	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", *app, report.Wall.Seconds(), len(report.Events))

@@ -19,13 +19,13 @@ func benchCollectiveMode(b *testing.B, mode iotrace.AccessMode, pcfg pfs.Config)
 	b.ReportAllocs()
 	var last *Report
 	for i := 0; i < b.N; i++ {
-		r, err := syntheticReport(workload.SyntheticConfig{
+		r, err := modeCell{scfg: workload.SyntheticConfig{
 			Nodes:       8,
 			Mode:        mode,
 			RecordBytes: 4096,
 			Records:     32,
 			Barrier:     true,
-		}, pcfg)
+		}}.runOn(pcfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/burst"
 	"repro/internal/ckpt"
-	"repro/internal/exec"
 )
 
 // OutputPrefixes returns the file-name prefixes of an application's bulk
@@ -35,44 +32,27 @@ func OutputPrefixes(app AppID) []string {
 func BurstSweep(small bool, ck ckpt.Config, bcfg burst.Config) ([]analysis.BurstComparison, error) {
 	bcfg.Enabled = true
 	apps := Apps()
-	type job struct {
-		app   AppID
-		burst bool
-	}
-	jobs := make([]job, 0, 2*len(apps))
-	for _, app := range apps {
-		jobs = append(jobs, job{app, false}, job{app, true})
-	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*ResilientReport, error) {
-		study := PaperStudy(j.app)
-		if small {
-			study = SmallStudy(j.app)
-		}
-		kind := "direct"
-		if j.burst {
+	pairs, err := runPairs("burst sweep", [2]string{"direct", "burst"}, apps, func(app AppID, side int) (*ResilientReport, error) {
+		study := sweepStudy(app, small)
+		if side == 1 {
 			study.Burst = bcfg
-			if j.app == RENDER {
+			if app == RENDER {
 				study.Burst.Prefixes = append(OutputPrefixes(RENDER), bcfg.Prefixes...)
 			}
-			kind = "burst"
 		}
 		rs := ResilientStudy{Study: study, Ckpt: ck, MaxAttempts: 1}
-		if j.app == RENDER {
+		if app == RENDER {
 			// RENDER has no work-unit loop to checkpoint.
 			rs.Ckpt.Interval = 0
 		}
-		rr, err := RunResilient(rs)
-		if err != nil {
-			return nil, fmt.Errorf("burst sweep: %s %s: %w", j.app, kind, err)
-		}
-		return rr, nil
+		return RunResilient(rs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.BurstComparison, 0, len(apps))
 	for i, app := range apps {
-		direct, withTier := reports[2*i], reports[2*i+1]
+		direct, withTier := pairs[i][0], pairs[i][1]
 		rows = append(rows, analysis.BurstComparison{
 			Name:        string(app),
 			DirectWall:  direct.Wall,

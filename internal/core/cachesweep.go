@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/exec"
 	"repro/internal/iotrace"
-	"repro/internal/pablo"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -49,6 +48,46 @@ func compare(name, op string, base, cached *Report, labels ...string) analysis.C
 	return row
 }
 
+// sweepStudy returns the study an app-by-app sweep runs: the paper-scale
+// run, or the reduced one when small.
+func sweepStudy(app AppID, small bool) Study {
+	if small {
+		return SmallStudy(app)
+	}
+	return PaperStudy(app)
+}
+
+// runPairs runs every cell twice — side 0 the baseline, side 1 the
+// alternative — as one job each on the executor ([cell0 base, cell0 alt,
+// cell1 base, ...], so every simulation fans out) and returns the results
+// paired by cell. A failed run's error names the sweep, the cell and the
+// side's label from sides: "<sweep>: <cell> <side>: <err>".
+func runPairs[C, R any](sweep string, sides [2]string, cells []C, run func(c C, side int) (R, error)) ([][2]R, error) {
+	type job struct {
+		cell C
+		side int
+	}
+	jobs := make([]job, 0, 2*len(cells))
+	for _, c := range cells {
+		jobs = append(jobs, job{c, 0}, job{c, 1})
+	}
+	out, err := exec.Map(jobs, func(_ int, j job) (R, error) {
+		r, err := run(j.cell, j.side)
+		if err != nil {
+			return r, fmt.Errorf("%s: %v %s: %w", sweep, j.cell, sides[j.side], err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([][2]R, len(cells))
+	for i := range pairs {
+		pairs[i] = [2]R{out[2*i], out[2*i+1]}
+	}
+	return pairs, nil
+}
+
 // CacheSweep runs each of the paper's three applications twice — cache
 // disabled, then enabled with ccfg — and reports the mean read-latency
 // change. It is the §8 what-if quantified: ESCAT's small sequential reads
@@ -57,81 +96,21 @@ func compare(name, op string, base, cached *Report, labels ...string) analysis.C
 func CacheSweep(small bool, ccfg cache.Config) ([]analysis.CacheComparison, error) {
 	ccfg.Enabled = true
 	apps := Apps()
-	// One job per run — [app0 base, app0 cached, app1 base, ...] — so every
-	// simulation fans out on the executor; rows pair up afterwards.
-	type job struct {
-		app    AppID
-		cached bool
-	}
-	jobs := make([]job, 0, 2*len(apps))
-	for _, app := range apps {
-		jobs = append(jobs, job{app, false}, job{app, true})
-	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*Report, error) {
-		study := PaperStudy(j.app)
-		if small {
-			study = SmallStudy(j.app)
-		}
-		kind := "base"
-		if j.cached {
+	pairs, err := runPairs("cache sweep", [2]string{"base", "cached"}, apps, func(app AppID, side int) (*Report, error) {
+		study := sweepStudy(app, small)
+		if side == 1 {
 			study.Machine.PFS.Cache = ccfg
-			kind = "cached"
 		}
-		r, err := Run(study)
-		if err != nil {
-			return nil, fmt.Errorf("cache sweep: %s %s: %w", j.app, kind, err)
-		}
-		return r, nil
+		return Run(study)
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CacheComparison, 0, len(apps))
 	for i, app := range apps {
-		rows = append(rows, compare(string(app), "Read", reports[2*i], reports[2*i+1], "Read", "AsynchRead"))
+		rows = append(rows, compare(string(app), "Read", pairs[i][0], pairs[i][1], "Read", "AsynchRead"))
 	}
 	return rows, nil
-}
-
-// syntheticReport runs one synthetic workload on a fresh machine and
-// assembles the subset of a Report the sweep compares.
-func syntheticReport(scfg workload.SyntheticConfig, pcfg pfs.Config) (*Report, error) {
-	m, err := workload.NewMachine(workload.MachineConfig{
-		ComputeNodes: scfg.Nodes,
-		PFS:          pcfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := pablo.NewTracer(true)
-	m.PFS.SetRecorder(tr)
-	app, err := workload.NewSynthetic(scfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := workload.Run(m, workload.WrapPFS(m.PFS), app); err != nil {
-		return nil, err
-	}
-	if err := app.Err(); err != nil {
-		return nil, err
-	}
-	r := &Report{
-		Wall:         m.Eng.Now(),
-		Events:       tr.Events(),
-		Summary:      analysis.Summarize(tr.Events()),
-		Cache:        analysis.BuildCacheReport(m.PFS.CacheStats()),
-		Sched:        m.PFS.SchedStats(),
-		PhysRequests: m.PFS.PhysRequests(),
-	}
-	if st, ok := m.PFS.CollectiveStats(); ok {
-		r.Collective = &st
-		// Straggler timers outlive the application by up to one window; the
-		// run's wall clock is the application's own finish.
-		if end := lastEventEnd(r.Events); end > 0 {
-			r.Wall = end
-		}
-	}
-	return r, nil
 }
 
 // modeCell is one row of a mode-by-mode comparison sweep: the workload plus
@@ -141,6 +120,22 @@ type modeCell struct {
 	op     string
 	labels []string
 	scfg   workload.SyntheticConfig
+}
+
+func (c modeCell) String() string { return c.name }
+
+// runOn runs the cell's synthetic workload once, on a fresh machine with the
+// PFS configuration pcfg, through the same attempt path as Run.
+func (c modeCell) runOn(pcfg pfs.Config) (*Report, error) {
+	app, err := workload.NewSynthetic(c.scfg)
+	if err != nil {
+		return nil, err
+	}
+	return run(Study{
+		App:       AppID(app.Name()),
+		Machine:   workload.MachineConfig{ComputeNodes: c.scfg.Nodes, PFS: pcfg},
+		KeepTrace: true,
+	}, app)
 }
 
 // modeCells builds the six per-mode synthetic workloads shared by the cache
@@ -169,40 +164,6 @@ func modeCells() []modeCell {
 		cells = append(cells, cell)
 	}
 	return cells
-}
-
-// runModePairs fans one syntheticReport job per (cell, config) out on the
-// executor — [cell0 base, cell0 alt, cell1 base, ...] — and returns the
-// reports paired by cell. sweep names the caller for error messages; altName
-// labels the second config ("cached", "verified").
-func runModePairs(sweep, altName string, cells []modeCell, base, alt pfs.Config) ([][2]*Report, error) {
-	type job struct {
-		cell modeCell
-		alt  bool
-	}
-	jobs := make([]job, 0, 2*len(cells))
-	for _, cell := range cells {
-		jobs = append(jobs, job{cell, false}, job{cell, true})
-	}
-	reports, err := exec.Map(jobs, func(_ int, j job) (*Report, error) {
-		pcfg, kind := base, "base"
-		if j.alt {
-			pcfg, kind = alt, altName
-		}
-		r, err := syntheticReport(j.cell.scfg, pcfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %s %s: %w", sweep, j.cell.name, kind, err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]*Report, len(cells))
-	for i := range cells {
-		pairs[i] = [2]*Report{reports[2*i], reports[2*i+1]}
-	}
-	return pairs, nil
 }
 
 // ModeCacheSweep compares cached against uncached runs of one synthetic
@@ -237,7 +198,10 @@ func ModeCacheSweep(ccfg cache.Config) ([]analysis.CacheComparison, error) {
 		},
 	})
 
-	pairs, err := runModePairs("mode sweep", "cached", cells, base, cachedCfg)
+	cfgs := [2]pfs.Config{base, cachedCfg}
+	pairs, err := runPairs("mode sweep", [2]string{"base", "cached"}, cells, func(c modeCell, side int) (*Report, error) {
+		return c.runOn(cfgs[side])
+	})
 	if err != nil {
 		return nil, err
 	}

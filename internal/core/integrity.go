@@ -45,10 +45,7 @@ func CorruptionSweep(small bool, seed uint64) ([]analysis.CorruptionSweepRow, er
 		}
 	}
 	return exec.Map(cells, func(_ int, c cell) (analysis.CorruptionSweepRow, error) {
-		study := PaperStudy(c.app)
-		if small {
-			study = SmallStudy(c.app)
-		}
+		study := sweepStudy(c.app, small)
 		study.Machine.PFS.Integrity = integrity.Config{
 			Enabled: true,
 			Scrub: integrity.ScrubConfig{
@@ -97,7 +94,10 @@ func ModeIntegritySweep(icfg integrity.Config) ([]analysis.IntegrityOverheadRow,
 	verCfg.Integrity = icfg
 
 	cells := modeCells()
-	pairs, err := runModePairs("integrity sweep", "verified", cells, base, verCfg)
+	cfgs := [2]pfs.Config{base, verCfg}
+	pairs, err := runPairs("integrity sweep", [2]string{"base", "verified"}, cells, func(c modeCell, side int) (*Report, error) {
+		return c.runOn(cfgs[side])
+	})
 	if err != nil {
 		return nil, err
 	}

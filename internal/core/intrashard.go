@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -90,23 +89,15 @@ func runSharded(s Study, opts ShardedOptions) (*ShardedReport, *runtime, error) 
 		}
 		return &ShardedReport{Report: r}, nil, nil
 	}
-	if s.Machine.ComputeNodes == 0 {
-		s = mergeDefaults(s)
-	}
 
 	fab := sim.NewFabric(opts.Workers)
 	fe := fab.AddShard("frontend", opts.Seed)
-	srv, assign := partitionIONodes(fab, "", s.Machine.PFS.IONodes, opts.IOShards, opts.Seed)
-	s, rt, err := preparePartitioned(s, fe, srv, assign)
+	s, rt, err := prepare(s, placement{shard: fe, ioShards: opts.IOShards, seed: opts.Seed}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var events []fault.Event
-	if !s.Faults.Empty() {
-		events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
-	}
-	inj, err := rt.injectPartitioned(s, events)
+	defer rt.retire()
+	inj, err := rt.inject(s, faultEvents(s))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,7 +106,7 @@ func runSharded(s Study, opts ShardedOptions) (*ShardedReport, *runtime, error) 
 		return nil, nil, fmt.Errorf("%s: launch: %w", rt.app.Name(), err)
 	}
 	runErr := fab.Run()
-	if err := attemptFailure(s, rt, inj); err != nil {
+	if err := jobErr(s, rt, inj); err != nil {
 		return nil, nil, err
 	}
 	if runErr != nil {

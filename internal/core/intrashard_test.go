@@ -203,7 +203,7 @@ func TestShardedMatchesSerialImage(t *testing.T) {
 		s := SmallStudy(app)
 		s.Machine.PFS.Integrity = integrity.Config{Enabled: true}
 
-		ss, rt, err := prepare(s)
+		ss, rt, err := prepare(s, placement{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

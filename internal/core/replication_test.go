@@ -55,7 +55,7 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study)
+	_, rt, err := prepare(study, placement{}, nil)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
@@ -176,15 +176,13 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study)
+		s, rt, err := prepare(study, placement{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var events []fault.Event
-		if !s.Faults.Empty() {
-			events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
+		if _, err := rt.inject(s, faultEvents(s)); err != nil {
+			t.Fatal(err)
 		}
-		rt.inject(s, events)
 		if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
 			t.Fatalf("app died despite RF=3: %v", err)
 		}

@@ -71,46 +71,30 @@ type failedAtter interface {
 	FailedAt() (sim.Time, bool)
 }
 
-// attachCkpt wires a checkpointer into the study's application config and
-// reports whether the application supports one.
-func attachCkpt(s *Study, c workload.Checkpointer) bool {
+// attachCkpt builds the checkpoint coordinator for the study's application
+// and wires it into the application config; only ESCAT and HTF checkpoint.
+func attachCkpt(s *Study, ck ckpt.Config) (*ckpt.Coordinator, error) {
 	switch s.App {
 	case ESCAT:
 		cfg := escat.DefaultConfig()
 		if s.ESCATConfig != nil {
 			cfg = *s.ESCATConfig
 		}
-		cfg.Ckpt = c
+		coord, err := ckpt.New(ck, cfg.Nodes)
+		cfg.Ckpt = coord
 		s.ESCATConfig = &cfg
-		return true
+		return coord, err
 	case HTF:
 		cfg := htf.DefaultConfig()
 		if s.HTFConfig != nil {
 			cfg = *s.HTFConfig
 		}
-		cfg.Ckpt = c
+		coord, err := ckpt.New(ck, cfg.Nodes)
+		cfg.Ckpt = coord
 		s.HTFConfig = &cfg
-		return true
+		return coord, err
 	}
-	return false
-}
-
-// appNodes returns the application's compute-node count under the study's
-// configuration.
-func appNodes(s Study) int {
-	switch s.App {
-	case ESCAT:
-		if s.ESCATConfig != nil {
-			return s.ESCATConfig.Nodes
-		}
-		return escat.DefaultConfig().Nodes
-	case HTF:
-		if s.HTFConfig != nil {
-			return s.HTFConfig.Nodes
-		}
-		return htf.DefaultConfig().Nodes
-	}
-	return s.Machine.ComputeNodes
+	return nil, fmt.Errorf("core: %s does not support checkpointing", s.App)
 }
 
 // lastEventEnd returns the completion instant of the latest traced operation
@@ -136,9 +120,6 @@ func lastEventEnd(events []iotrace.Event) sim.Time {
 // remainder, so the same study and seed produce the same attempt history.
 func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	s := rs.Study
-	if s.Machine.ComputeNodes == 0 {
-		s = mergeDefaults(s)
-	}
 	// The driver measures attempt completion from the trace.
 	s.KeepTrace = true
 	if rs.MaxAttempts <= 0 {
@@ -148,33 +129,29 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	var coord *ckpt.Coordinator
 	if rs.Ckpt.Interval > 0 {
 		var err error
-		coord, err = ckpt.New(rs.Ckpt, appNodes(s))
-		if err != nil {
+		if coord, err = attachCkpt(&s, rs.Ckpt); err != nil {
 			return nil, err
 		}
-		if !attachCkpt(&s, coord) {
-			return nil, fmt.Errorf("core: %s does not support checkpointing", s.App)
-		}
-	}
-
-	var events []fault.Event
-	if !s.Faults.Empty() {
-		events = s.Faults.Materialize(s.FaultSeed, s.Machine.PFS.IONodes, s.Machine.ComputeNodes)
 	}
 
 	rr := &ResilientReport{}
+	var events []fault.Event
 	base := sim.Time(0)
 	// carried is the corruption ledger harvested from each dying attempt's
 	// storage: latent corruption does not go away because the application
 	// restarted, so it is re-injected into the fresh instance.
 	var carried []pfs.CorruptRange
 	for attempt := 0; attempt < rs.MaxAttempts; attempt++ {
-		s, rt, err := prepare(s)
+		s, rt, err := prepare(s, placement{}, nil)
 		if err != nil {
 			return nil, err
 		}
+		if attempt == 0 {
+			events = faultEvents(s)
+		}
 		if coord != nil {
 			if err := coord.Prepare(rt.m, rt.fs, base); err != nil {
+				rt.retire()
 				return nil, err
 			}
 			if rt.burst != nil {
@@ -196,23 +173,20 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		if coord != nil {
 			resume = coord.ResumeUnit()
 		}
-		inj := rt.inject(s, fault.ShiftForRestart(events, base))
-		runErr := workload.Run(rt.m, rt.fs, rt.app)
-
-		var nodeErr error
-		if ae, ok := rt.app.(appErr); ok {
-			nodeErr = ae.Err()
+		inj, err := rt.inject(s, fault.ShiftForRestart(events, base))
+		if err != nil {
+			rt.retire()
+			return nil, err
 		}
-		var nodeLoss *fault.NodeLossEvent
-		if inj != nil {
-			if nl, ok := inj.FirstNodeLoss(); ok {
-				nodeLoss = &nl
-				if nodeErr == nil {
-					// The loss froze the engine before any node program
-					// could observe an error; the attempt is dead anyway.
-					nodeErr = fmt.Errorf("compute node %d lost at %v", nl.Node, nl.At)
-				}
-			}
+		runErr := workload.Run(rt.m, rt.fs, rt.app)
+		// The attempt is over either way; unwind what it left parked.
+		rt.retire()
+
+		nodeErr, nodeLoss := attemptFailure(rt, inj)
+		if nodeErr == nil && nodeLoss != nil {
+			// The loss froze the engine before any node program could
+			// observe an error; the attempt is dead anyway.
+			nodeErr = fmt.Errorf("compute node %d lost at %v", nodeLoss.Node, nodeLoss.At)
 		}
 		if nodeErr == nil && runErr != nil {
 			// Not an application death from a fault: a real failure.

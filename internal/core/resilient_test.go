@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
@@ -24,6 +26,41 @@ func chaosStudy() ResilientStudy {
 		Study:       s,
 		Ckpt:        ckpt.Config{Interval: 2, BytesPerNode: 4096, FileName: "escat.ckpt"},
 		RestartCost: 1500 * sim.Millisecond,
+	}
+}
+
+// TestFailedAttemptsLeaveNoGoroutines: a dead attempt's node programs stay
+// parked (ESCAT's survivors wait at a barrier the failed nodes never reach)
+// until the attempt is retired, so a resilient study with one failed attempt,
+// and a single-attempt Run that dies, must both return the goroutine count to
+// its baseline.
+func TestFailedAttemptsLeaveNoGoroutines(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	rr, err := RunResilient(chaosStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Attempts) != 2 || !rr.Attempts[0].Failed {
+		t.Fatalf("attempts = %+v, want one failure + one success", rr.Attempts)
+	}
+	waitGoroutines(t, before)
+
+	if _, err := Run(chaosStudy().Study); err == nil {
+		t.Fatal("unprotected run survived the outage")
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines waits for exiting goroutines to finish and fails if the
+// count stays above want.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", goruntime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

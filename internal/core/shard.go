@@ -99,6 +99,15 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 	coord := fab.AddShard("coordinator", opts.Seed)
 	cellSeeds := sim.NewRNG(s.FaultSeed)
 	cells := make([]*fleetCell, opts.Cells)
+	defer func() {
+		// Every prepared cell is spent when the fleet returns, whatever the
+		// outcome.
+		for _, c := range cells {
+			if c != nil {
+				c.rt.retire()
+			}
+		}
+	}()
 	for i := range cells {
 		cs := s
 		if i > 0 {
@@ -107,18 +116,9 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 			cs.FaultSeed = cellSeeds.Uint64()
 		}
 		shard := fab.AddShard(fmt.Sprintf("cell%d", i), opts.Seed)
-		var rt *runtime
-		var err error
-		if opts.IOShards > 0 {
-			if cs.Machine.ComputeNodes == 0 {
-				cs = mergeDefaults(cs)
-			}
-			srv, assign := partitionIONodes(fab, fmt.Sprintf("cell%d.", i),
-				cs.Machine.PFS.IONodes, opts.IOShards, opts.Seed)
-			cs, rt, err = preparePartitioned(cs, shard, srv, assign)
-		} else {
-			cs, rt, err = prepareOn(cs, shard.Engine())
-		}
+		cs, rt, err := prepare(cs, placement{
+			shard: shard, ioShards: opts.IOShards, prefix: fmt.Sprintf("cell%d.", i), seed: opts.Seed,
+		}, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
@@ -126,30 +126,16 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 		fab.Connect(coord, shard, lookahead)
 		start := lookahead + opts.Stagger*sim.Time(i)
 
-		var events []fault.Event
-		if !cs.Faults.Empty() {
-			events = cs.Faults.Materialize(cs.FaultSeed, cs.Machine.PFS.IONodes, cs.Machine.ComputeNodes)
-			// The plan's instants are relative to the job, not the fleet:
-			// shift them past the cell's launch.
-			for j := range events {
-				events[j].At += start
-			}
+		events := faultEvents(cs)
+		// The plan's instants are relative to the job, not the fleet: shift
+		// them past the cell's launch.
+		for j := range events {
+			events[j].At += start
 		}
-		var inj *fault.Injector
-		if opts.IOShards > 0 {
-			inj, err = rt.injectPartitioned(cs, events)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
-			}
-		} else {
-			inj = rt.inject(cs, events)
-		}
-		cells[i] = &fleetCell{
-			study: cs,
-			rt:    rt,
-			inj:   inj,
-			shard: shard,
-			start: start,
+		c := &fleetCell{study: cs, rt: rt, shard: shard, start: start}
+		cells[i] = c
+		if c.inj, err = rt.inject(cs, events); err != nil {
+			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
 	}
 
@@ -178,7 +164,7 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 		if c.launchErr != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, c.launchErr)
 		}
-		if err := attemptFailure(c.study, c.rt, c.inj); err != nil {
+		if err := jobErr(c.study, c.rt, c.inj); err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
 		r := finishReport(c.study, c.rt, c.inj)

@@ -80,7 +80,7 @@ func TestTraceHintBoundsEvents(t *testing.T) {
 		for _, app := range Apps() {
 			t.Run(scale.name+"/"+string(app), func(t *testing.T) {
 				s := scale.study(app)
-				_, rt, err := prepare(s)
+				_, rt, err := prepare(s, placement{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,17 +98,5 @@ func TestTraceHintBoundsEvents(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-func TestTraceReserveOverridesHint(t *testing.T) {
-	s := SmallStudy(ESCAT)
-	s.TraceReserve = 5000
-	r, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(r.Events) != s.TraceReserve {
-		t.Fatalf("capture buffer holds %d events, want TraceReserve %d", cap(r.Events), s.TraceReserve)
 	}
 }

@@ -70,27 +70,15 @@ func ParseCorruptionClasses(spec string, window sim.Time) (CorruptionPlan, error
 
 // ArmCorruption installs the corruption plan on a machine's I/O nodes:
 // write-path injection policies are armed on every checksum store, and a
-// bit-rot driver process is spawned per node. Each node gets independent RNG
-// streams split deterministically from the seed (split before the
-// integrity-enabled check, so a node's streams do not depend on which other
-// nodes have the layer on). No-op when the plan is empty or the integrity
-// layer is disabled.
-func ArmCorruption(eng *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
-	armCorruption(func(*ionode.Node) *sim.Engine { return eng }, nodes, cp, seed)
-}
-
-// ArmCorruptionPartitioned is ArmCorruption for a machine whose I/O nodes
-// live on fabric shards: each node's bit-rot driver spawns on the node's
-// owning engine (the checksum store must only ever be touched from there).
-// The RNG stream derivation is identical to the serial form — splits happen
-// per node in node order, before any engine placement — so a given seed rots
-// the same blocks at the same instants regardless of how the nodes are
-// sharded.
-func ArmCorruptionPartitioned(owner func(node int) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
-	armCorruption(func(n *ionode.Node) *sim.Engine { return owner(n.ID()) }, nodes, cp, seed)
-}
-
-func armCorruption(engFor func(*ionode.Node) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
+// bit-rot driver process is spawned per node on owner(node), the engine
+// holding that node's state (the checksum store must only ever be touched
+// from there). Each node gets independent RNG streams split
+// deterministically from the seed, in node order before any engine
+// placement and before the integrity-enabled check, so a node's streams
+// depend neither on which other nodes have the layer on nor on how the nodes
+// are sharded. No-op when the plan is empty or the integrity layer is
+// disabled.
+func ArmCorruption(owner func(node int) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
 	if cp.Empty() {
 		return
 	}
@@ -111,7 +99,7 @@ func armCorruption(engFor func(*ionode.Node) *sim.Engine, nodes []*ionode.Node, 
 			continue
 		}
 		node := n
-		engFor(n).SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
+		owner(n.ID()).SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
 			func(p *sim.Process) { runBitRot(p, node, cp.BitRotPerGBHour, end, rotRNG) })
 	}
 }

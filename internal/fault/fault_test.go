@@ -105,6 +105,11 @@ func TestShiftForRestart(t *testing.T) {
 	}
 }
 
+// on is the owner lookup of a serial machine: every node on eng.
+func on(eng *sim.Engine) func(int) *sim.Engine {
+	return func(int) *sim.Engine { return eng }
+}
+
 func testNodes(eng *sim.Engine, n int, cfg disk.ArrayConfig) []*ionode.Node {
 	nodes := make([]*ionode.Node, n)
 	for i := range nodes {
@@ -117,7 +122,7 @@ func TestInjectorOutageWindow(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := disk.DefaultArrayConfig()
 	nodes := testNodes(eng, 2, cfg)
-	inj := Inject(eng, nodes, []Event{
+	inj := Inject(eng, on(eng), nodes, []Event{
 		{Kind: IONodeOutage, At: sim.Second, Node: 1, Duration: 2 * sim.Second},
 	}, NodeLossHooks{})
 	var during, after bool
@@ -145,7 +150,7 @@ func TestInjectorDiskFailureRebuilds(t *testing.T) {
 	cfg.RebuildSliceBytes = 1 << 20
 	cfg.RebuildBWBytesPerS = 4 << 20
 	nodes := testNodes(eng, 1, cfg)
-	inj := Inject(eng, nodes, []Event{{Kind: DiskFailure, At: sim.Second, Node: 0}}, NodeLossHooks{})
+	inj := Inject(eng, on(eng), nodes, []Event{{Kind: DiskFailure, At: sim.Second, Node: 0}}, NodeLossHooks{})
 	var during bool
 	eng.SpawnAt("probe", 1100*sim.Millisecond, func(p *sim.Process) {
 		during = nodes[0].Array().Degraded()
@@ -176,7 +181,7 @@ func TestInjectorSecondDiskFailureKills(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := disk.DefaultArrayConfig() // full 1.2 GB: rebuild won't finish in time
 	nodes := testNodes(eng, 1, cfg)
-	inj := Inject(eng, nodes, []Event{
+	inj := Inject(eng, on(eng), nodes, []Event{
 		{Kind: DiskFailure, At: sim.Second, Node: 0},
 		{Kind: DiskFailure, At: 2 * sim.Second, Node: 0},
 	}, NodeLossHooks{})
@@ -198,7 +203,7 @@ func TestInjectorSecondDiskFailureKills(t *testing.T) {
 func TestInjectorStorm(t *testing.T) {
 	eng := sim.NewEngine()
 	nodes := testNodes(eng, 1, disk.DefaultArrayConfig())
-	Inject(eng, nodes, []Event{
+	Inject(eng, on(eng), nodes, []Event{
 		{Kind: LatencyStorm, At: sim.Second, Node: 0, Duration: sim.Second, Factor: 4},
 	}, NodeLossHooks{})
 	var during float64

@@ -58,16 +58,32 @@ type Injector struct {
 	downCount []int // overlapping-outage refcount per node
 	hooks     NodeLossHooks
 	losses    []NodeLossEvent
-	subs      []*Injector // per-engine actuators on a partitioned machine
+	subs      []*Injector // actuators for nodes owned by other engines
 }
 
 // Inject arms every event in the schedule: each fault gets a driver process
-// spawned at its injection time. Events targeting nodes outside the machine
-// are ignored. hooks wires NodeLoss events to the compute partition; the zero
-// value disables them. The returned Injector accumulates the incident
-// timeline.
-func Inject(eng *sim.Engine, nodes []*ionode.Node, events []Event, hooks NodeLossHooks) *Injector {
+// spawned at its injection time on owner(node), the engine holding the
+// target I/O node's state — the frontend engine itself on a serial machine,
+// a fabric shard's engine when the machine's I/O nodes are split across
+// shards. Events targeting nodes outside the machine are ignored. hooks
+// wires NodeLoss events (driven on the frontend) to the compute partition;
+// the zero value disables them. The returned Injector accumulates the
+// incident timeline.
+//
+// Events on a node owned by another engine run on a per-engine sub-injector
+// whose incident timeline merges into the returned root, and whose hooks are
+// zero, so actuators never call back across shards. Outage start/end hooks
+// observe frontend-resident state (the repair planner's availability
+// windows), so for such a node a separate observer driver mirrors each
+// outage window on the frontend: both drivers sleep the same simulated
+// interval from the same start instant, so the observer fires at the exact
+// simulated times the actuator takes the node down and brings it back. A
+// compute-node loss halts only the frontend engine; callers whose I/O nodes
+// live on other engines must reject NodeLoss events themselves.
+func Inject(frontend *sim.Engine, owner func(node int) *sim.Engine,
+	nodes []*ionode.Node, events []Event, hooks NodeLossHooks) *Injector {
 	inj := &Injector{nodes: nodes, downCount: make([]int, len(nodes)), hooks: hooks}
+	byEngine := make(map[*sim.Engine]*Injector)
 	for _, ev := range events {
 		ev := ev
 		if ev.Kind == NodeLoss {
@@ -75,81 +91,36 @@ func Inject(eng *sim.Engine, nodes []*ionode.Node, events []Event, hooks NodeLos
 				continue
 			}
 			name := fmt.Sprintf("fault:%v@node%d", ev.Kind, ev.Node)
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runNodeLoss(p, ev) })
+			frontend.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runNodeLoss(p, ev) })
 			continue
 		}
 		if ev.Node < 0 || ev.Node >= len(nodes) {
 			continue
 		}
 		name := fmt.Sprintf("fault:%v@ion%d", ev.Kind, ev.Node)
+		eng, act := owner(ev.Node), inj
+		if eng != frontend {
+			act = byEngine[eng]
+			if act == nil {
+				act = &Injector{nodes: nodes, downCount: make([]int, len(nodes))}
+				byEngine[eng] = act
+				inj.subs = append(inj.subs, act)
+			}
+		}
 		switch ev.Kind {
 		case IONodeOutage:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runOutage(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runOutage(p, ev) })
+			if act != inj && (hooks.OnOutageStart != nil || hooks.OnOutageEnd != nil) {
+				frontend.SpawnAt(name+":observer", ev.At,
+					func(p *sim.Process) { inj.runOutageObserver(p, ev) })
+			}
 		case LatencyStorm:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runStorm(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runStorm(p, ev) })
 		case DiskFailure:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runDiskFailure(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runDiskFailure(p, ev) })
 		}
 	}
 	return inj
-}
-
-// InjectPartitioned arms a schedule against a machine whose I/O nodes live on
-// fabric shards. Faults that touch a node's service state (outages, storms,
-// disk failures) must run on the node's owning engine, so each event's driver
-// is spawned there, grouped into per-engine sub-injectors whose incident
-// timelines merge into the returned root. Outage start/end hooks observe
-// frontend-resident state (the repair planner's availability windows), so a
-// separate observer driver mirrors each outage window on the frontend engine:
-// both drivers sleep the same simulated interval from the same start instant,
-// so the observer fires at the exact simulated times the actuator takes the
-// node down and brings it back.
-//
-// NodeLoss events are rejected with an error: a compute-node loss halts the
-// whole simulation, and there is no way to freeze every shard of a fabric
-// mid-window deterministically. Use the serial engine (or model the loss as a
-// fleet-level cell failure) for those schedules.
-func InjectPartitioned(frontend *sim.Engine, owner func(node int) *sim.Engine,
-	nodes []*ionode.Node, events []Event, hooks NodeLossHooks) (*Injector, error) {
-	root := &Injector{nodes: nodes, downCount: make([]int, len(nodes)), hooks: hooks}
-	byEngine := make(map[*sim.Engine]*Injector)
-	subFor := func(eng *sim.Engine) *Injector {
-		sub := byEngine[eng]
-		if sub == nil {
-			sub = &Injector{nodes: nodes, downCount: make([]int, len(nodes))}
-			byEngine[eng] = sub
-			root.subs = append(root.subs, sub)
-		}
-		return sub
-	}
-	for _, ev := range events {
-		ev := ev
-		if ev.Kind == NodeLoss {
-			if ev.Node < 0 || ev.Node >= hooks.Nodes {
-				continue
-			}
-			return nil, fmt.Errorf("fault: NodeLoss at node %d cannot be injected on a partitioned machine (halting all shards mid-run is unsupported); run serially or model it as a fleet cell failure", ev.Node)
-		}
-		if ev.Node < 0 || ev.Node >= len(nodes) {
-			continue
-		}
-		eng := owner(ev.Node)
-		sub := subFor(eng)
-		name := fmt.Sprintf("fault:%v@ion%d", ev.Kind, ev.Node)
-		switch ev.Kind {
-		case IONodeOutage:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runOutage(p, ev) })
-			if hooks.OnOutageStart != nil || hooks.OnOutageEnd != nil {
-				frontend.SpawnAt(name+":observer", ev.At,
-					func(p *sim.Process) { root.runOutageObserver(p, ev) })
-			}
-		case LatencyStorm:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runStorm(p, ev) })
-		case DiskFailure:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { sub.runDiskFailure(p, ev) })
-		}
-	}
-	return root, nil
 }
 
 // runOutageObserver mirrors one outage window on the frontend: the root

@@ -92,19 +92,3 @@ func TestFleetOptionsMapping(t *testing.T) {
 		t.Fatal("single-machine scenario reported fleet options")
 	}
 }
-
-// TestFleetTraceReserveSizing checks Build sizes the trace arenas from the
-// generated fleet shape instead of the serial default.
-func TestFleetTraceReserveSizing(t *testing.T) {
-	sc, err := Parse([]byte("workload:\n  app: escat\nfleet_gen:\n  compute_nodes: 64\n  io_nodes: 32\n"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, _, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 64 * (64 + 32); rs.Study.TraceReserve != want {
-		t.Fatalf("TraceReserve %d, want %d", rs.Study.TraceReserve, want)
-	}
-}

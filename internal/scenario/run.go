@@ -43,26 +43,46 @@ func (r *Scenario) Execute() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fo, ok := r.FleetOptions(r.Shards); ok {
-		return r.executeFleet(rs, fleet, fo)
+	res := &Result{Scenario: r, Fleet: fleet}
+	// The fleet and split shapes run one attempt, no restart loop, and the
+	// measurement layer reads the (representative cell's) event trace. A
+	// failure there is a configuration or launch error, not an assertable
+	// outcome, so it fails Execute.
+	traced := rs.Study
+	traced.KeepTrace = true
+	fo, isFleet := r.FleetOptions(r.Shards)
+	switch {
+	case isFleet:
+		res.FleetRun, err = core.RunFleet(traced, fo)
+		if err == nil {
+			res.Report = FleetResilientReport(res.FleetRun)
+		}
+	case r.ioShards() > 0:
+		// The machine is split across the fabric (fleet_gen.shard_layout
+		// "split:N"), with the CLI's -shards value as the worker bound.
+		var sr *core.ShardedReport
+		sr, err = core.RunSharded(traced, core.ShardedOptions{IOShards: r.ioShards(), Workers: r.Shards, Seed: r.Seed})
+		if err == nil {
+			res.Report = &core.ResilientReport{
+				Final:     sr.Report,
+				Attempts:  []core.Attempt{{End: sr.Wall}},
+				Incidents: sr.Incidents,
+				Wall:      sr.Wall,
+			}
+		}
+	default:
+		res.Report, res.RunErr = core.RunResilient(rs)
+		if res.Report == nil {
+			// No report at all: the study itself was rejected.
+			err = res.RunErr
+		}
 	}
-	if k := r.ioShards(); k > 0 {
-		return r.executeSharded(rs, fleet, k)
+	if err != nil {
+		return nil, r.fail(err)
 	}
-	rr, runErr := core.RunResilient(rs)
-	if rr == nil && runErr != nil {
-		// No report at all: the study itself was rejected.
-		return nil, r.fail(runErr)
-	}
-	m := Measure(rr, runErr)
-	return &Result{
-		Scenario: r,
-		Fleet:    fleet,
-		Report:   rr,
-		RunErr:   runErr,
-		M:        m,
-		Checks:   r.Assertions.Evaluate(m),
-	}, nil
+	res.M = Measure(res.Report, res.RunErr)
+	res.Checks = r.Assertions.Evaluate(res.M)
+	return res, nil
 }
 
 // FleetOptions returns the sharded-fleet options a multi-cell scenario runs
@@ -83,56 +103,6 @@ func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
 		IOShards: r.ioShards(),
 		Seed:     r.Seed,
 	}, true
-}
-
-// executeSharded runs a single-machine scenario whose machine is split
-// across the fabric (fleet_gen.shard_layout "split:N"): one attempt, no
-// restart loop, with the CLI's -shards value as the fabric's worker bound.
-func (r *Scenario) executeSharded(rs core.ResilientStudy, fleet *Fleet, ioShards int) (*Result, error) {
-	s := rs.Study
-	// The measurement layer reads the run's event trace.
-	s.KeepTrace = true
-	sr, err := core.RunSharded(s, core.ShardedOptions{IOShards: ioShards, Workers: r.Shards, Seed: r.Seed})
-	if err != nil {
-		return nil, r.fail(err)
-	}
-	rr := &core.ResilientReport{
-		Final:     sr.Report,
-		Attempts:  []core.Attempt{{End: sr.Wall}},
-		Incidents: sr.Incidents,
-		Wall:      sr.Wall,
-	}
-	m := Measure(rr, nil)
-	return &Result{
-		Scenario: r,
-		Fleet:    fleet,
-		Report:   rr,
-		M:        m,
-		Checks:   r.Assertions.Evaluate(m),
-	}, nil
-}
-
-// executeFleet runs a multi-cell scenario on the sharded engine: one attempt
-// of the study per cell, no restart loop. A fleet error is a configuration
-// or launch failure, not an assertable outcome, so it fails Execute.
-func (r *Scenario) executeFleet(rs core.ResilientStudy, fleet *Fleet, fo core.FleetOptions) (*Result, error) {
-	s := rs.Study
-	// The measurement layer reads the representative cell's event trace.
-	s.KeepTrace = true
-	fr, err := core.RunFleet(s, fo)
-	if err != nil {
-		return nil, r.fail(err)
-	}
-	rr := FleetResilientReport(fr)
-	m := Measure(rr, nil)
-	return &Result{
-		Scenario: r,
-		Fleet:    fleet,
-		Report:   rr,
-		FleetRun: fr,
-		M:        m,
-		Checks:   r.Assertions.Evaluate(m),
-	}, nil
 }
 
 // FleetResilientReport adapts a fleet report to the resilient-report shape

@@ -38,16 +38,16 @@ import (
 type Engine struct {
 	now    Time
 	events eventQueue
-	cal    *calendarQueue // non-nil: calendar queue replaces the binary heap
-	seq    uint64         // monotonically increasing schedule sequence, breaks ties
+	seq    uint64 // monotonically increasing schedule sequence, breaks ties
 	nextID int
 
-	living  int
-	stopped bool
-	limit   Time          // active RunUntil horizon (< 0: none); gates in-place resumes
-	wake    chan struct{} // signals the engine goroutine that no process is runnable
-	procs   []*Process    // live processes, for deadlock diagnostics
-	free    []*Process    // finished processes whose struct and channels are reusable
+	living   int
+	stopped  bool
+	retiring bool          // Retire is unwinding the living processes
+	limit    Time          // active RunUntil horizon (< 0: none); gates in-place resumes
+	wake     chan struct{} // signals the engine goroutine that no process is runnable
+	procs    []*Process    // live processes, for deadlock diagnostics
+	free     []*Process    // finished processes whose struct and channels are reusable
 
 	// external marks an engine owned by a Fabric shard: processes may park
 	// waiting for cross-shard mail, so a drained queue with living processes
@@ -99,6 +99,14 @@ type eventQueue struct {
 }
 
 func (q *eventQueue) len() int { return len(q.ev) }
+
+// min peeks at the next due event without removing it.
+func (q *eventQueue) min() (event, bool) {
+	if len(q.ev) == 0 {
+		return event{}, false
+	}
+	return q.ev[0], true
+}
 
 // push inserts ev, sifting the hole up toward the root.
 func (q *eventQueue) push(ev event) {
@@ -175,71 +183,11 @@ func (q *eventQueue) pushBatch(evs []event) {
 	}
 }
 
-// The engine's queue operations dispatch to the active structure: the inlined
-// 4-ary heap (default) or the optional calendar queue (UseCalendar). One
-// predictable nil check per operation — no interface boxing on the hot path.
-
-func (e *Engine) qPush(ev event) {
-	if e.cal != nil {
-		e.cal.push(ev)
-		return
-	}
-	e.events.push(ev)
-}
-
-func (e *Engine) qPushBatch(evs []event) {
-	if e.cal != nil {
-		for _, ev := range evs {
-			e.cal.push(ev)
-		}
-		return
-	}
-	e.events.pushBatch(evs)
-}
-
-func (e *Engine) qLen() int {
-	if e.cal != nil {
-		return e.cal.size
-	}
-	return e.events.len()
-}
-
-// qMin peeks at the next due event without removing it.
-func (e *Engine) qMin() (event, bool) {
-	if e.cal != nil {
-		return e.cal.peek()
-	}
-	if len(e.events.ev) == 0 {
-		return event{}, false
-	}
-	return e.events.ev[0], true
-}
-
-func (e *Engine) qPop() event {
-	if e.cal != nil {
-		return e.cal.pop()
-	}
-	return e.events.pop()
-}
-
-// UseCalendar replaces the engine's binary heap with a calendar queue of the
-// given bucket width — O(1) amortized holds for the dense, near-uniform event
-// populations a large fleet's disk and I/O-node service loops generate, where
-// a heap pays log(n) per operation. Pop order is the identical total (time,
-// sequence) order, so the queue choice never changes simulation results.
-// Must be called before any process is spawned.
-func (e *Engine) UseCalendar(width Time) {
-	if e.qLen() > 0 || e.living > 0 {
-		panic("sim: UseCalendar on an engine that already has events")
-	}
-	e.cal = newCalendarQueue(width, calendarBuckets)
-}
-
 func (e *Engine) schedule(p *Process, at Time) {
 	e.checkWake(p, at)
 	p.pendingWake = true
 	e.seq++
-	e.qPush(event{at: at, seq: e.seq, p: p})
+	e.events.push(event{at: at, seq: e.seq, p: p})
 }
 
 // scheduleBatch schedules every process in procs to resume at the same
@@ -259,7 +207,7 @@ func (e *Engine) scheduleBatch(procs []*Process, at Time) {
 		e.seq++
 		e.batch = append(e.batch, event{at: at, seq: e.seq, p: p})
 	}
-	e.qPushBatch(e.batch)
+	e.events.pushBatch(e.batch)
 	for i := range e.batch {
 		e.batch[i] = event{} // drop *Process refs for the collector
 	}
@@ -325,14 +273,14 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 // same regardless of which goroutine runs it.
 func (e *Engine) advance() *Process {
 	for !e.stopped {
-		head, ok := e.qMin()
+		head, ok := e.events.min()
 		if !ok {
 			break
 		}
 		if e.limit >= 0 && head.at > e.limit {
 			return nil
 		}
-		ev := e.qPop()
+		ev := e.events.pop()
 		if ev.p.done {
 			// Stale event for a finished process. Now that it has left the
 			// queue nothing references the process, so it can be reused.
@@ -403,7 +351,7 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.stopped {
 		return nil
 	}
-	if e.living > 0 && e.qLen() == 0 && !e.external {
+	if e.living > 0 && e.events.len() == 0 && !e.external {
 		// A fabric-owned engine defers this verdict: its processes may be
 		// parked awaiting cross-shard mail that another shard will deliver.
 		return e.deadlockError()
@@ -426,7 +374,7 @@ func (e *Engine) clampLimit() {
 // when the queue is empty. The fabric's horizon reduction reads this between
 // windows; it must not be called while events are being executed.
 func (e *Engine) NextEventAt() (Time, bool) {
-	ev, ok := e.qMin()
+	ev, ok := e.events.min()
 	return ev.at, ok
 }
 
@@ -441,6 +389,21 @@ func (e *Engine) SetExternal() { e.external = true }
 // frames then stop caring" scenarios, mirroring the paper's abbreviated
 // RENDER runs.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Retire ends an engine that will not run again: an abandoned attempt, or a
+// run that failed with processes still parked. Every living process — parked
+// in a primitive or not yet started — is resumed once and unwinds through its
+// goroutine's ordinary retire path, so deferred calls in its body run and the
+// goroutine exits. It must be called from outside the engine, after Run has
+// returned.
+func (e *Engine) Retire() {
+	e.stopped = true
+	e.retiring = true
+	for len(e.procs) > 0 {
+		e.procs[len(e.procs)-1].resume <- struct{}{}
+		<-e.wake
+	}
+}
 
 // Stopped reports whether Stop has been called.
 func (e *Engine) Stopped() bool { return e.stopped }

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestClockAdvancesWithSleep(t *testing.T) {
@@ -334,6 +336,58 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 	if count != 5 || e.Now() != 5*Second {
 		t.Fatalf("count=%d now=%v", count, e.Now())
+	}
+}
+
+// TestRetireUnwindsLivingProcesses stops an engine with one process parked
+// at a barrier that will never fill, one asleep, and one not yet started:
+// Retire must run the parked and sleeping bodies' deferred calls, never start
+// the late one, and leave no goroutine behind.
+func TestRetireUnwindsLivingProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	b := NewBarrier(e, "never", 2)
+	var unwound []string
+	e.Spawn("parked", func(p *Process) {
+		defer func() { unwound = append(unwound, "parked") }()
+		b.Wait(p)
+	})
+	e.Spawn("sleeper", func(p *Process) {
+		defer func() { unwound = append(unwound, "sleeper") }()
+		p.Sleep(2 * Second)
+	})
+	e.SpawnAt("late", 2*Second, func(p *Process) { unwound = append(unwound, "late ran") })
+	e.Spawn("killer", func(p *Process) {
+		p.Sleep(Second)
+		e.Stop()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Living() != 3 {
+		t.Fatalf("%d living before Retire, want 3", e.Living())
+	}
+	e.Retire()
+	sort.Strings(unwound)
+	if got := strings.Join(unwound, ","); got != "parked,sleeper" {
+		t.Fatalf("unwound %q, want parked,sleeper", got)
+	}
+	if e.Living() != 0 {
+		t.Fatalf("%d living after Retire", e.Living())
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines waits for exiting goroutines to finish and fails if the
+// count stays above want.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -277,7 +277,7 @@ func (s *Shard) quiescent() bool {
 	if s.eng.Stopped() {
 		return true
 	}
-	return s.eng.qLen() == 0 && len(s.inbox) == 0
+	return s.eng.events.len() == 0 && len(s.inbox) == 0
 }
 
 // nextAt is the earliest time the shard could still execute an event — the

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Process is a single thread of simulated activity — in this reproduction, a
 // compute node's program, an I/O node server, or a background policy daemon.
@@ -26,7 +29,7 @@ type Process struct {
 }
 
 // top is the body of a process goroutine: wait to be started, run fn, and
-// terminate cleanly.
+// terminate cleanly. A process first resumed by Engine.Retire never runs fn.
 func (p *Process) top(fn func(p *Process)) {
 	<-p.resume // wait for the scheduler to start us
 	defer func() {
@@ -45,7 +48,9 @@ func (p *Process) top(fn func(p *Process)) {
 		e.recycle(p)
 		e.dispatch(e.advance())
 	}()
-	fn(p)
+	if !p.eng.retiring {
+		fn(p)
+	}
 }
 
 // Name returns the process name given at Spawn.
@@ -76,6 +81,10 @@ func (p *Process) block(why string) {
 	}
 	e.dispatch(next)
 	<-p.resume
+	if e.retiring {
+		// Engine.Retire: unwind through top's retire path.
+		runtime.Goexit()
+	}
 	p.blockedOn = ""
 }
 
@@ -97,11 +106,11 @@ func (p *Process) Sleep(d Time) {
 	at := e.now + d
 	e.schedule(p, at)
 	if !e.stopped && (e.limit < 0 || at <= e.limit) {
-		if head, ok := e.qMin(); ok && head.p == p {
+		if head, ok := e.events.min(); ok && head.p == p {
 			// A process has at most one pending event (double wakes panic),
 			// so the queue head being ours means our fresh wake is the
 			// strict minimum.
-			e.qPop()
+			e.events.pop()
 			p.pendingWake = false
 			e.now = at
 			return
