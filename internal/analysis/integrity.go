@@ -174,9 +174,10 @@ type CorruptionSweepRow struct {
 	Class        integrity.Class
 	Injected     int
 	Detected     int
-	Repaired     int // parity + rewrite
-	Unrepairable int // detected, reported open on the incident timeline
-	Latent       int // neither detected nor resolved — must be zero
+	Repaired     int  // parity + rewrite
+	Unrepairable int  // detected, reported open on the incident timeline
+	Latent       int  // neither detected nor resolved — must be zero
+	Failed       bool // an unrepairable read killed the application
 }
 
 // RenderCorruptionSweep formats the detection-coverage sweep as a table.
@@ -186,8 +187,12 @@ func RenderCorruptionSweep(rows []CorruptionSweepRow) string {
 	fmt.Fprintf(&b, "  %-8s %-18s %9s %9s %9s %13s %7s\n",
 		"app", "class", "injected", "detected", "repaired", "unrepairable", "latent")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8s %-18s %9d %9d %9d %13d %7d\n",
+		fmt.Fprintf(&b, "  %-8s %-18s %9d %9d %9d %13d %7d",
 			r.App, r.Class, r.Injected, r.Detected, r.Repaired, r.Unrepairable, r.Latent)
+		if r.Failed {
+			b.WriteString("  run failed")
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

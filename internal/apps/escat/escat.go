@@ -272,7 +272,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 				// inputs: initialization is already covered.
 				if resume == 0 {
 					if err := a.runInit(p, m, fs, profiles, inNames); err != nil {
-						errs.Addf("node 0 init: %v", err)
+						errs.Addf("node 0 init: %w", err)
 					}
 				}
 				fs.SetPhase(PhaseQuadrature)
@@ -282,19 +282,19 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 			}
 			if resume > 0 {
 				if err := cfg.Ckpt.Restore(p, fs, node); err != nil {
-					errs.Addf("node %d restore: %v", node, err)
+					errs.Addf("node %d restore: %w", node, err)
 					return
 				}
 			}
 			if err := a.runQuadrature(p, fs, node, resume, quadNames, nodeRNG[node], cycle); err != nil {
-				errs.Addf("node %d quadrature: %v", node, err)
+				errs.Addf("node %d quadrature: %w", node, err)
 				return // a lost node would deadlock the barrier group
 			}
 			reload.Wait(p)
 			if node == 0 {
 				fs.SetPhase(PhaseOutput)
 				if err := a.runOutput(p, m, fs, outNames); err != nil {
-					errs.Addf("node 0 output: %v", err)
+					errs.Addf("node 0 output: %w", err)
 				}
 			}
 			_ = errs // final check is in Err below

@@ -328,25 +328,25 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 				}
 				pscfStart.Wait(p)
 				if err := cfg.Ckpt.Restore(p, fs, node); err != nil {
-					errs.Addf("pscf node %d restore: %v", node, err)
+					errs.Addf("pscf node %d restore: %w", node, err)
 					return
 				}
 				if err := a.runPscf(p, fs, node, resume, nodeRNG[node], passBarrier); err != nil {
-					errs.Addf("pscf node %d: %v", node, err)
+					errs.Addf("pscf node %d: %w", node, err)
 					return
 				}
 				return
 			}
 			if node == 0 {
 				if err := a.runPsetup(p, fs); err != nil {
-					errs.Addf("psetup: %v", err)
+					errs.Addf("psetup: %w", err)
 					return
 				}
 				fs.SetPhase(PhasePargos)
 			}
 			pargosStart.Wait(p)
 			if err := a.runPargos(p, fs, node, nodeRNG[node]); err != nil {
-				errs.Addf("pargos node %d: %v", node, err)
+				errs.Addf("pargos node %d: %w", node, err)
 				return
 			}
 			pscfStart.Wait(p)
@@ -354,7 +354,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 				fs.SetPhase(PhasePscf)
 			}
 			if err := a.runPscf(p, fs, node, 0, nodeRNG[node], passBarrier); err != nil {
-				errs.Addf("pscf node %d: %v", node, err)
+				errs.Addf("pscf node %d: %w", node, err)
 				return
 			}
 		})

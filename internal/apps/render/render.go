@@ -228,7 +228,7 @@ func (a *App) Launch(m *workload.Machine, fs workload.FS) error {
 
 	m.Eng.Spawn("render-gateway", func(p *sim.Process) {
 		if err := a.runGateway(p, m, fs, terrainNames, frameStart, frameDone); err != nil {
-			errs.Addf("gateway: %v", err)
+			errs.Addf("gateway: %w", err)
 		}
 	})
 	for r := 1; r <= cfg.RenderNodes; r++ {

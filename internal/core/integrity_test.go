@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/ckpt"
 	"repro/internal/fault"
 	"repro/internal/integrity"
@@ -266,5 +268,37 @@ func TestResilientCkptFallbackOnCorruptCheckpoint(t *testing.T) {
 		!reflect.DeepEqual(rr.Incidents, again.Incidents) ||
 		!reflect.DeepEqual(rr.Final.Events, again.Final.Events) {
 		t.Error("same-seed corrupted runs differ")
+	}
+}
+
+// TestCorruptionSweepReportsKilledCells: at seed 1 an unrepairable torn or
+// misdirected write kills some cells' applications. Each still comes back as
+// a row, its fatal block counted as unrepairable, instead of aborting the
+// sweep.
+func TestCorruptionSweepReportsKilledCells(t *testing.T) {
+	rows, err := CorruptionSweep(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 9 {
+		t.Fatalf("rows = %d, want 3 apps x 3 classes", len(rows))
+	}
+	failed := 0
+	for _, r := range rows {
+		if r.Latent != 0 {
+			t.Errorf("%s/%s: %d corruptions neither detected nor resolved", r.App, r.Class, r.Latent)
+		}
+		if r.Failed {
+			failed++
+			if r.Unrepairable == 0 {
+				t.Errorf("%s/%s: the run failed but no block is counted unrepairable", r.App, r.Class)
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("seed 1 killed no cell; the failure path is unexercised")
+	}
+	if out := analysis.RenderCorruptionSweep(rows); !strings.Contains(out, "run failed") {
+		t.Errorf("failed cells not marked in the table:\n%s", out)
 	}
 }
