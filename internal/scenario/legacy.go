@@ -1,36 +1,14 @@
 package scenario
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "os"
 
 // ParseChaos decodes a standalone chaos file — the legacy cmd/stress -config
 // format, which is exactly the scenario DSL's chaos section at top level
 // (JSON or the YAML subset).
 func ParseChaos(data []byte, path string) (Chaos, error) {
 	var c Chaos
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 {
-		return c, loc(path, fmt.Errorf("empty chaos file"))
-	}
-	jsonBytes := trimmed
-	if trimmed[0] != '{' {
-		tree, err := parseYAML(data)
-		if err != nil {
-			return c, loc(path, err)
-		}
-		jsonBytes, err = json.Marshal(tree)
-		if err != nil {
-			return c, loc(path, err)
-		}
-	}
-	dec := json.NewDecoder(bytes.NewReader(jsonBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return c, loc(path, fmt.Errorf("chaos schema: %v", friendlyDecodeError(err)))
+	if err := decodeStrict(data, "chaos", "chaos schema", &c); err != nil {
+		return c, loc(path, err)
 	}
 	if err := c.validate(); err != nil {
 		return c, loc(path, err)
