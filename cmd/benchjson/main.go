@@ -6,16 +6,25 @@
 // Usage:
 //
 //	benchjson [-bench REGEXP] [-pkg PKG] [-benchtime 1x] [-count 1] [-shards N] [-out BENCH_2.json]
+//	          [-allocs-baseline FILE -allocs-bound PCT]
 //
 // It shells out to `go test -run ^$ -bench ...` (the toolchain is a build
 // prerequisite of this repository, so no extra tooling is needed) and parses
 // the standard benchmark output lines.
+//
+// With -allocs-baseline, benchjson also gates allocations: FILE is an earlier
+// benchjson output, and the run fails when any benchmark it lists allocates
+// more than PCT percent above its baseline allocs/op. Each side's figure is
+// the minimum over its -count repetitions, because goroutine and channel
+// bookkeeping in the Go runtime adds a little run-to-run noise on top of the
+// deterministic count. ns/op is printed beside each figure but never gated.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -76,6 +85,8 @@ func run(args []string) error {
 	out := fs.String("out", "BENCH_2.json", "output JSON file")
 	cpuprofile := fs.String("cpuprofile", "", "passed through to go test: write the benchmarks' CPU profile here")
 	memprofile := fs.String("memprofile", "", "passed through to go test: write the benchmarks' heap profile here")
+	baseline := fs.String("allocs-baseline", "", "fail when a benchmark in this earlier benchjson output allocates more per op than it records (plus -allocs-bound)")
+	bound := fs.Float64("allocs-bound", 0, "allowed allocs/op growth over -allocs-baseline, in percent")
 	shardFlags := cliflags.AddShards(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,6 +101,9 @@ func run(args []string) error {
 	}
 	if *memprofile != "" {
 		testArgs = append(testArgs, "-memprofile", *memprofile)
+	}
+	if *baseline != "" {
+		testArgs = append(testArgs, "-benchmem")
 	}
 	cmd := exec.Command("go", append(testArgs, *pkg)...)
 	// Shard-sweeping benchmarks read REPRO_SHARDS to bench exactly the
@@ -124,7 +138,65 @@ func run(args []string) error {
 		return err
 	}
 	log.Printf("%d benchmarks -> %s", len(results), *out)
+	if *baseline == "" {
+		return nil
+	}
+	raw, err = os.ReadFile(*baseline)
+	if err != nil {
+		return err
+	}
+	var base Output
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %w", *baseline, err)
+	}
+	return GateAllocs(os.Stdout, results, base.Benchmarks, *bound)
+}
+
+// GateAllocs compares the run's allocs/op with the baseline's, benchmark by
+// benchmark, and writes one line per baseline benchmark to w. It returns an
+// error naming every benchmark that is missing from the run or allocates
+// more than boundPct percent above its baseline.
+func GateAllocs(w io.Writer, run, baseline []Result, boundPct float64) error {
+	got, want := leastAllocs(run), leastAllocs(baseline)
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var failed []string
+	for _, name := range names {
+		b := want[name]
+		limit := b.AllocsPerOp * (1 + boundPct/100)
+		r, ok := got[name]
+		switch {
+		case !ok:
+			fmt.Fprintf(w, "allocs-gate FAIL %s: not in this run\n", name)
+			failed = append(failed, name)
+		case r.AllocsPerOp > limit:
+			fmt.Fprintf(w, "allocs-gate FAIL %s: %.0f allocs/op > %.0f (baseline %.0f +%g%%), %.0f ns/op\n",
+				name, r.AllocsPerOp, limit, b.AllocsPerOp, boundPct, r.NsPerOp)
+			failed = append(failed, name)
+		default:
+			fmt.Fprintf(w, "allocs-gate ok   %s: %.0f allocs/op <= %.0f (baseline %.0f +%g%%), %.0f ns/op\n",
+				name, r.AllocsPerOp, limit, b.AllocsPerOp, boundPct, r.NsPerOp)
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("allocs/op gate failed for %s", strings.Join(failed, ", "))
+	}
 	return nil
+}
+
+// leastAllocs keeps, per benchmark name, the repetition with the fewest
+// allocs/op; its ns/op rides along for the report.
+func leastAllocs(results []Result) map[string]Result {
+	m := make(map[string]Result, len(results))
+	for _, r := range results {
+		if cur, ok := m[r.Name]; !ok || r.AllocsPerOp < cur.AllocsPerOp {
+			m[r.Name] = r
+		}
+	}
+	return m
 }
 
 // Parse extracts benchmark results from `go test -bench` output. A line looks

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const sample = `goos: linux
 goarch: amd64
@@ -81,5 +84,35 @@ func TestSplitProcs(t *testing.T) {
 		if name != tc.name || procs != tc.procs {
 			t.Errorf("splitProcs(%q) = %q, %d", tc.in, name, procs)
 		}
+	}
+}
+
+func TestGateAllocs(t *testing.T) {
+	base := []Result{
+		{Name: "BenchmarkA", AllocsPerOp: 100},
+		{Name: "BenchmarkA", AllocsPerOp: 90}, // repetitions: the minimum counts
+		{Name: "BenchmarkB", AllocsPerOp: 1000},
+	}
+	var out strings.Builder
+	run := []Result{
+		{Name: "BenchmarkA", AllocsPerOp: 99, NsPerOp: 5},
+		{Name: "BenchmarkA", AllocsPerOp: 95, NsPerOp: 7},
+		{Name: "BenchmarkB", AllocsPerOp: 1100},
+		{Name: "BenchmarkNew", AllocsPerOp: 1e6}, // not in the baseline: ungated
+	}
+	if err := GateAllocs(&out, run, base, 10); err != nil {
+		t.Fatalf("within bound: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkA: 95 allocs/op <= 99 (baseline 90 +10%), 7 ns/op") {
+		t.Fatalf("report:\n%s", out.String())
+	}
+	run[2].AllocsPerOp = 1101
+	err := GateAllocs(&out, run, base, 10)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkB") || strings.Contains(err.Error(), "BenchmarkA") {
+		t.Fatalf("over bound: got %v", err)
+	}
+	err = GateAllocs(&out, run[:2], base, 10)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkB") {
+		t.Fatalf("missing benchmark: got %v", err)
 	}
 }

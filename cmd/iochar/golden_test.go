@@ -23,6 +23,8 @@ var goldenRuns = []struct {
 	{"window", []string{"-app", "htf", "-small", "-window", "5"}},
 	{"ppfs", []string{"-small", "-policy", "ppfs"}},
 	{"adaptive", []string{"-small", "-policy", "adaptive"}},
+	{"htf-ppfs", []string{"-app", "htf", "-small", "-policy", "ppfs"}},
+	{"htf-adaptive", []string{"-app", "htf", "-small", "-policy", "adaptive"}},
 	{"cache", []string{"-small", "-cache", "-cache-mb", "4", "-prefetch=false"}},
 	{"collective", []string{"-small", "-collective", "-aggregators", "2", "-sched", "cscan"}},
 	{"burst", []string{"-small", "-burst", "-burst-mb", "32", "-compress", "1"}},

@@ -69,7 +69,6 @@ func parse(args []string) (*command, error) {
 	features := cliflags.AddFeatures(fs)
 	scenarioFile := fs.String("scenario", "", "declarative scenario file (YAML/JSON; overrides app, feature and chaos flags)")
 	c.shards = cliflags.AddShards(fs)
-	c.shards.AddIOShards(fs)
 	mtbf := fs.Float64("mtbf", 0, "inject I/O-node outages with this exponential mean time between failures in seconds (0 = none)")
 	outage := fs.Float64("outage", 5, "duration in seconds of each injected outage")
 	chaosWindow := fs.Float64("chaos-window", 600, "stop injecting faults after this many simulated seconds")
@@ -147,26 +146,8 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, scenario.RenderFleetRun(fr))
 		report = fr.Cells[0]
-	} else {
-		// With -ioshards the compute partition runs on a frontend shard and
-		// the I/O nodes are split across server shards (results match at any
-		// -shards worker bound); without it RunSharded is the serial Run.
-		// A scenario's shard_layout takes precedence over the flag.
-		ioShards := c.shards.IOShardCount()
-		if n := sc.IOShards(); n > 0 {
-			ioShards = n
-		}
-		sr, err := core.RunSharded(study, core.ShardedOptions{
-			IOShards: ioShards, Workers: c.shards.Count(), Seed: sc.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		if sr.Fabric.Shards > 0 {
-			fmt.Fprintf(out, "Partitioned machine: %d fabric shards (%d workers), %d cross-shard mails\n",
-				sr.Fabric.Shards, sr.Fabric.Workers, sr.Fabric.Mail)
-		}
-		report = sr.Report
+	} else if report, err = core.Run(study); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", app, report.Wall.Seconds(), len(report.Events))

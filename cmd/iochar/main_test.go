@@ -45,6 +45,15 @@ func TestSmokeBadPolicy(t *testing.T) {
 	}
 }
 
+// TestSmokeIOShardsRemoved: the intra-machine split and its -ioshards flag
+// are gone, so the flag is an ordinary unknown-flag error, not a panic.
+func TestSmokeIOShardsRemoved(t *testing.T) {
+	err := run([]string{"-app", "escat", "-small", "-ioshards", "2"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "ioshards") {
+		t.Fatalf("-ioshards 2: got err %v, want an unknown-flag error", err)
+	}
+}
+
 // capture runs the CLI with args and returns its full output.
 func capture(t *testing.T, args ...string) string {
 	t.Helper()

@@ -134,8 +134,7 @@ func (f *Features) Fill(sc *scenario.Scenario) {
 // conservative fabric shares. Results are byte-identical at any -shards
 // setting — the flag only bounds how many shards execute concurrently.
 type Shards struct {
-	N        *int
-	IOShards *int // nil unless AddIOShards was called
+	N *int
 }
 
 // AddShards registers -shards on fs.
@@ -145,27 +144,9 @@ func AddShards(fs *flag.FlagSet) *Shards {
 	}
 }
 
-// AddIOShards additionally registers -ioshards, the intra-machine partition
-// degree: a single-machine run splits its I/O nodes round-robin across this
-// many fabric shards, with the compute partition on a frontend shard and all
-// client↔I/O traffic crossing as lookahead-bounded mail. For a fixed
-// -ioshards value, results are byte-identical at every -shards bound.
-func (s *Shards) AddIOShards(fs *flag.FlagSet) {
-	s.IOShards = fs.Int("ioshards", 0, "split the machine's I/O nodes across this many fabric shards (0 = single-engine run; results identical at any -shards for a fixed -ioshards)")
-}
-
 // Count returns the raw flag value (0 = auto), the form core.FleetOptions
 // takes.
 func (s *Shards) Count() int { return *s.N }
-
-// IOShardCount returns the -ioshards value; 0 when the flag was not
-// registered or not set.
-func (s *Shards) IOShardCount() int {
-	if s.IOShards == nil {
-		return 0
-	}
-	return *s.IOShards
-}
 
 // Resolve returns the effective worker count: GOMAXPROCS when the flag is 0
 // or negative.

@@ -181,7 +181,6 @@ type appErr interface{ Err() error }
 // instrumented file system stack, and the application.
 type runtime struct {
 	m          *workload.Machine
-	engines    []*sim.Engine // every engine the machine runs on, frontend first
 	fs         workload.FS
 	tracer     *pablo.Tracer
 	physTracer *pablo.Tracer
@@ -192,50 +191,26 @@ type runtime struct {
 	app        workload.App
 }
 
-// placement says where prepare builds a study's machine. The zero value
-// gives the machine a fresh engine of its own. A shard places it on that
-// fabric shard's engine (a fleet cell); with ioShards > 0 the shard keeps
-// only the compute partition and every client-side layer, while the I/O
-// nodes are dealt over ioShards server shards named prefix+"io<g>" (an
-// intra-machine split).
-type placement struct {
-	shard    *sim.Shard
-	ioShards int
-	prefix   string
-	seed     uint64
-}
-
-// prepare builds a fresh runtime for one attempt of the study on the given
-// placement. It merges the paper defaults into a study without a machine
-// shape, and returns the study it prepared. app, when non-nil, is the
-// workload to run; nil builds the study's own application.
-func prepare(s Study, at placement, app workload.App) (Study, *runtime, error) {
+// prepare builds a fresh runtime for one attempt of the study on eng (a
+// fleet cell's shard engine), or on a fresh engine of its own when eng is
+// nil. It merges the paper defaults into a study without a machine shape,
+// and returns the study it prepared. app, when non-nil, is the workload to
+// run; nil builds the study's own application.
+func prepare(s Study, eng *sim.Engine, app workload.App) (Study, *runtime, error) {
 	if s.Machine.ComputeNodes == 0 {
 		s = mergeDefaults(s)
 	}
 	if s.WindowWidth <= 0 {
 		s.WindowWidth = 10 * sim.Second
 	}
-	rt := &runtime{}
-	var srv []*sim.Shard
-	var err error
-	switch {
-	case at.shard == nil:
-		rt.m, err = workload.NewMachine(s.Machine)
-	case at.ioShards > 0:
-		var assign []int
-		srv, assign = partitionIONodes(at.shard.Fabric(), at.prefix, s.Machine.PFS.IONodes, at.ioShards, at.seed)
-		rt.m, err = workload.NewPartitionedMachine(at.shard, srv, assign, s.Machine)
-	default:
-		rt.m, err = workload.NewMachineOn(at.shard.Engine(), s.Machine)
+	if eng == nil {
+		eng = sim.NewEngine()
 	}
+	m, err := workload.NewMachineOn(eng, s.Machine)
 	if err != nil {
 		return s, nil, err
 	}
-	rt.engines = []*sim.Engine{rt.m.Eng}
-	for _, sh := range srv {
-		rt.engines = append(rt.engines, sh.Engine())
-	}
+	rt := &runtime{m: m}
 	if err := rt.stack(s, app); err != nil {
 		rt.retire()
 		return s, nil, err
@@ -296,14 +271,10 @@ func (rt *runtime) stack(s Study, app workload.App) error {
 	return nil
 }
 
-// retire unwinds whatever the attempt left parked on the machine's engines
+// retire unwinds whatever the attempt left parked on the machine's engine
 // (see sim.Engine.Retire). Every run path calls it once the attempt is over —
 // finished, failed or abandoned — so no attempt outlives its report.
-func (rt *runtime) retire() {
-	for _, eng := range rt.engines {
-		eng.Retire()
-	}
-}
+func (rt *runtime) retire() { rt.m.Eng.Retire() }
 
 // faultEvents materializes the study's discrete fault schedule; nil for a
 // plan without one.
@@ -316,36 +287,16 @@ func faultEvents(s Study) []fault.Event {
 
 // inject arms the study's fault plan against the runtime's machine: discrete
 // events via the injector, corruption via the checksum stores' write-path
-// policies and bit-rot drivers. Every driver runs on the engine owning the
-// node it targets (pfs.FileSystem.OwnerEngine), so one path serves the serial
-// machine and the split one. It returns a nil injector when no discrete
+// policies and bit-rot drivers. It returns a nil injector when no discrete
 // events are scheduled (no injector processes are spawned, so the healthy
 // path is untouched; corruption may still be armed).
-//
-// A split machine rejects two schedule shapes up front rather than
-// mis-simulating them: NodeLoss (halting every shard mid-run is unsupported)
-// and DiskFailure combined with replication repair (the repair planner would
-// need cross-shard reads of array state; the frontend mirror only tracks
-// outages).
-func (rt *runtime) inject(s Study, events []fault.Event) (*fault.Injector, error) {
+func (rt *runtime) inject(s Study, events []fault.Event) *fault.Injector {
 	fs := rt.m.PFS
 	if !s.Faults.Corruption.Empty() {
-		fault.ArmCorruption(fs.OwnerEngine, fs.IONodes(), s.Faults.Corruption, s.FaultSeed)
+		fault.ArmCorruption(rt.m.Eng, fs.IONodes(), s.Faults.Corruption, s.FaultSeed)
 	}
 	if len(events) == 0 {
-		return nil, nil
-	}
-	if fs.Partitioned() {
-		for _, ev := range events {
-			if ev.Kind == fault.DiskFailure && fs.RepairEnabled() {
-				return nil, fmt.Errorf("core: DiskFailure events cannot combine with replication repair on a partitioned machine (the repair planner would read array state across shards); run serially or drop one of the two")
-			}
-		}
-		for _, ev := range events {
-			if ev.Kind == fault.NodeLoss && ev.Node >= 0 && ev.Node < rt.m.Nodes {
-				return nil, fmt.Errorf("fault: NodeLoss at node %d cannot be injected on a partitioned machine (halting all shards mid-run is unsupported); run serially or model it as a fleet cell failure", ev.Node)
-			}
-		}
+		return nil
 	}
 	hooks := fault.NodeLossHooks{Nodes: rt.m.Nodes, Halt: rt.m.Eng.Stop}
 	if rt.burst != nil {
@@ -355,7 +306,7 @@ func (rt *runtime) inject(s Study, events []fault.Event) (*fault.Injector, error
 		hooks.OnOutageStart = fs.NoteOutageStart
 		hooks.OnOutageEnd = fs.NoteOutageEnd
 	}
-	return fault.Inject(rt.m.Eng, fs.OwnerEngine, fs.IONodes(), events, hooks), nil
+	return fault.Inject(rt.m.Eng, fs.IONodes(), events, hooks)
 }
 
 // clockPadded reports whether background processes (bit-rot drivers, the
@@ -428,15 +379,12 @@ func Run(s Study) (*Report, error) {
 // integrity tallies of the machine as the failure left it, without
 // finishReport's wall-clock and incident corrections.
 func run(s Study, app workload.App) (*Report, error) {
-	s, rt, err := prepare(s, placement{}, app)
+	s, rt, err := prepare(s, nil, app)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.retire()
-	inj, err := rt.inject(s, faultEvents(s))
-	if err != nil {
-		return nil, err
-	}
+	inj := rt.inject(s, faultEvents(s))
 	runErr := workload.Run(rt.m, rt.fs, rt.app)
 	if err := jobErr(s, rt, inj); err != nil {
 		return rt.report(s), err
@@ -462,7 +410,7 @@ func attemptFailure(rt *runtime, inj *fault.Injector) (nodeErr error, loss *faul
 	return nodeErr, loss
 }
 
-// jobErr is the error a single-attempt run (Run, a fleet cell, a split run)
+// jobErr is the error a single-attempt run (Run or a fleet cell)
 // returns for a dead attempt: the job was killed, like the real machine
 // would. nil when the attempt survived.
 func jobErr(s Study, rt *runtime, inj *fault.Injector) error {

@@ -55,7 +55,7 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study, placement{}, nil)
+	_, rt, err := prepare(study, nil, nil)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
@@ -176,13 +176,11 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study, placement{}, nil)
+		s, rt, err := prepare(study, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.inject(s, faultEvents(s)); err != nil {
-			t.Fatal(err)
-		}
+		rt.inject(s, faultEvents(s))
 		if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
 			t.Fatalf("app died despite RF=3: %v", err)
 		}

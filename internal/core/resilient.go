@@ -142,7 +142,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 	// restarted, so it is re-injected into the fresh instance.
 	var carried []pfs.CorruptRange
 	for attempt := 0; attempt < rs.MaxAttempts; attempt++ {
-		s, rt, err := prepare(s, placement{}, nil)
+		s, rt, err := prepare(s, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -173,11 +173,7 @@ func RunResilient(rs ResilientStudy) (*ResilientReport, error) {
 		if coord != nil {
 			resume = coord.ResumeUnit()
 		}
-		inj, err := rt.inject(s, fault.ShiftForRestart(events, base))
-		if err != nil {
-			rt.retire()
-			return nil, err
-		}
+		inj := rt.inject(s, fault.ShiftForRestart(events, base))
 		runErr := workload.Run(rt.m, rt.fs, rt.app)
 		// The attempt is over either way; unwind what it left parked.
 		rt.retire()

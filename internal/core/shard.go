@@ -40,12 +40,6 @@ type FleetOptions struct {
 	// 1 = the serial oracle.
 	Shards int
 
-	// IOShards, when positive, additionally partitions each cell's machine
-	// internally: the cell shard keeps the compute partition and IOShards
-	// extra shards per cell host its I/O nodes (see RunSharded). Zero keeps
-	// whole cells on single shards.
-	IOShards int
-
 	// Seed derives each shard's RNG substream and, for cells past the
 	// first, their fault-plan seeds (cell 0 keeps the study's own
 	// FaultSeed, so a one-cell fleet realizes the exact serial timeline).
@@ -116,9 +110,7 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 			cs.FaultSeed = cellSeeds.Uint64()
 		}
 		shard := fab.AddShard(fmt.Sprintf("cell%d", i), opts.Seed)
-		cs, rt, err := prepare(cs, placement{
-			shard: shard, ioShards: opts.IOShards, prefix: fmt.Sprintf("cell%d.", i), seed: opts.Seed,
-		}, nil)
+		cs, rt, err := prepare(cs, shard.Engine(), nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
 		}
@@ -132,11 +124,7 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 		for j := range events {
 			events[j].At += start
 		}
-		c := &fleetCell{study: cs, rt: rt, shard: shard, start: start}
-		cells[i] = c
-		if c.inj, err = rt.inject(cs, events); err != nil {
-			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
-		}
+		cells[i] = &fleetCell{study: cs, rt: rt, inj: rt.inject(cs, events), shard: shard, start: start}
 	}
 
 	coord.Engine().Spawn("launcher", func(p *sim.Process) {
@@ -175,4 +163,29 @@ func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
 		}
 	}
 	return fr, cells, nil
+}
+
+// ShardedOptions are RunSharded's options. Every field is accepted and
+// ignored: a single machine always runs on one engine.
+type ShardedOptions struct {
+	IOShards int
+	Workers  int
+	Seed     uint64
+}
+
+// ShardedReport is RunSharded's outcome: the study's report, plus fabric
+// counters that stay zero because no fabric runs.
+type ShardedReport struct {
+	*Report
+
+	Fabric sim.FabricStats
+}
+
+// RunSharded runs the study through Run, whatever opts say.
+func RunSharded(s Study, opts ShardedOptions) (*ShardedReport, error) {
+	r, err := Run(s)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedReport{Report: r}, nil
 }

@@ -70,15 +70,12 @@ func ParseCorruptionClasses(spec string, window sim.Time) (CorruptionPlan, error
 
 // ArmCorruption installs the corruption plan on a machine's I/O nodes:
 // write-path injection policies are armed on every checksum store, and a
-// bit-rot driver process is spawned per node on owner(node), the engine
-// holding that node's state (the checksum store must only ever be touched
-// from there). Each node gets independent RNG streams split
-// deterministically from the seed, in node order before any engine
-// placement and before the integrity-enabled check, so a node's streams
-// depend neither on which other nodes have the layer on nor on how the nodes
-// are sharded. No-op when the plan is empty or the integrity layer is
-// disabled.
-func ArmCorruption(owner func(node int) *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
+// bit-rot driver process is spawned per node. Each node gets independent RNG
+// streams split deterministically from the seed, in node order before the
+// integrity-enabled check, so a node's streams do not depend on which other
+// nodes have the layer on. No-op when the plan is empty or the integrity
+// layer is disabled.
+func ArmCorruption(eng *sim.Engine, nodes []*ionode.Node, cp CorruptionPlan, seed uint64) {
 	if cp.Empty() {
 		return
 	}
@@ -99,7 +96,7 @@ func ArmCorruption(owner func(node int) *sim.Engine, nodes []*ionode.Node, cp Co
 			continue
 		}
 		node := n
-		owner(n.ID()).SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
+		eng.SpawnAt(fmt.Sprintf("fault:bit-rot@ion%d", node.ID()), cp.Start,
 			func(p *sim.Process) { runBitRot(p, node, cp.BitRotPerGBHour, end, rotRNG) })
 	}
 }

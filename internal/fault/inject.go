@@ -58,32 +58,15 @@ type Injector struct {
 	downCount []int // overlapping-outage refcount per node
 	hooks     NodeLossHooks
 	losses    []NodeLossEvent
-	subs      []*Injector // actuators for nodes owned by other engines
 }
 
 // Inject arms every event in the schedule: each fault gets a driver process
-// spawned at its injection time on owner(node), the engine holding the
-// target I/O node's state — the frontend engine itself on a serial machine,
-// a fabric shard's engine when the machine's I/O nodes are split across
-// shards. Events targeting nodes outside the machine are ignored. hooks
-// wires NodeLoss events (driven on the frontend) to the compute partition;
-// the zero value disables them. The returned Injector accumulates the
-// incident timeline.
-//
-// Events on a node owned by another engine run on a per-engine sub-injector
-// whose incident timeline merges into the returned root, and whose hooks are
-// zero, so actuators never call back across shards. Outage start/end hooks
-// observe frontend-resident state (the repair planner's availability
-// windows), so for such a node a separate observer driver mirrors each
-// outage window on the frontend: both drivers sleep the same simulated
-// interval from the same start instant, so the observer fires at the exact
-// simulated times the actuator takes the node down and brings it back. A
-// compute-node loss halts only the frontend engine; callers whose I/O nodes
-// live on other engines must reject NodeLoss events themselves.
-func Inject(frontend *sim.Engine, owner func(node int) *sim.Engine,
-	nodes []*ionode.Node, events []Event, hooks NodeLossHooks) *Injector {
+// spawned at its injection time. Events targeting nodes outside the machine
+// are ignored. hooks wires NodeLoss events to the compute partition; the zero
+// value disables them. The returned Injector accumulates the incident
+// timeline.
+func Inject(eng *sim.Engine, nodes []*ionode.Node, events []Event, hooks NodeLossHooks) *Injector {
 	inj := &Injector{nodes: nodes, downCount: make([]int, len(nodes)), hooks: hooks}
-	byEngine := make(map[*sim.Engine]*Injector)
 	for _, ev := range events {
 		ev := ev
 		if ev.Kind == NodeLoss {
@@ -91,53 +74,23 @@ func Inject(frontend *sim.Engine, owner func(node int) *sim.Engine,
 				continue
 			}
 			name := fmt.Sprintf("fault:%v@node%d", ev.Kind, ev.Node)
-			frontend.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runNodeLoss(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runNodeLoss(p, ev) })
 			continue
 		}
 		if ev.Node < 0 || ev.Node >= len(nodes) {
 			continue
 		}
 		name := fmt.Sprintf("fault:%v@ion%d", ev.Kind, ev.Node)
-		eng, act := owner(ev.Node), inj
-		if eng != frontend {
-			act = byEngine[eng]
-			if act == nil {
-				act = &Injector{nodes: nodes, downCount: make([]int, len(nodes))}
-				byEngine[eng] = act
-				inj.subs = append(inj.subs, act)
-			}
-		}
 		switch ev.Kind {
 		case IONodeOutage:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runOutage(p, ev) })
-			if act != inj && (hooks.OnOutageStart != nil || hooks.OnOutageEnd != nil) {
-				frontend.SpawnAt(name+":observer", ev.At,
-					func(p *sim.Process) { inj.runOutageObserver(p, ev) })
-			}
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runOutage(p, ev) })
 		case LatencyStorm:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runStorm(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runStorm(p, ev) })
 		case DiskFailure:
-			eng.SpawnAt(name, ev.At, func(p *sim.Process) { act.runDiskFailure(p, ev) })
+			eng.SpawnAt(name, ev.At, func(p *sim.Process) { inj.runDiskFailure(p, ev) })
 		}
 	}
 	return inj
-}
-
-// runOutageObserver mirrors one outage window on the frontend: the root
-// injector's downCount refcounts overlapping windows per node, Start fires
-// per event and End when the last overlap releases the node — the same
-// notification contract runOutage delivers on a serial machine. The sub-
-// injectors' hooks are zero, so the actuators never call back across shards.
-func (inj *Injector) runOutageObserver(p *sim.Process, ev Event) {
-	inj.downCount[ev.Node]++
-	if inj.hooks.OnOutageStart != nil {
-		inj.hooks.OnOutageStart(ev.Node, p.Now())
-	}
-	p.Sleep(ev.Duration)
-	inj.downCount[ev.Node]--
-	if inj.downCount[ev.Node] == 0 && inj.hooks.OnOutageEnd != nil {
-		inj.hooks.OnOutageEnd(ev.Node, p.Now())
-	}
 }
 
 // runNodeLoss kills a compute node: it snapshots the node's volatile
@@ -327,14 +280,8 @@ func (inj *Injector) runDiskFailure(p *sim.Process, ev Event) {
 // by node then kind). Incidents still in effect when the run ended have Open
 // set and End zero; CloseOpen stamps them instead.
 func (inj *Injector) Incidents() []Incident {
-	out := make([]Incident, 0, len(inj.incidents))
-	out = append(out, inj.incidents...)
-	// A partitioned node's events all land on one sub-injector (the node→
-	// engine assignment is fixed), so cross-sub ties never share a node and
-	// the (Start, Node, Kind) sort yields one canonical merged timeline.
-	for _, sub := range inj.subs {
-		out = append(out, sub.incidents...)
-	}
+	out := make([]Incident, len(inj.incidents))
+	copy(out, inj.incidents)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -355,8 +302,5 @@ func (inj *Injector) CloseOpen(at sim.Time) {
 		if inj.incidents[i].Open {
 			inj.incidents[i].End = at
 		}
-	}
-	for _, sub := range inj.subs {
-		sub.CloseOpen(at)
 	}
 }

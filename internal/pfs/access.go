@@ -3,7 +3,6 @@ package pfs
 import (
 	"fmt"
 
-	"repro/internal/ionode"
 	"repro/internal/iotrace"
 	"repro/internal/sim"
 )
@@ -168,7 +167,8 @@ func (fs *FileSystem) WriteGather(p *sim.Process, node int, name string, extents
 			continue
 		}
 		sweeps++
-		if err := fs.ionSweep(p, node, ion, int64(f.id), g.addr, g.bytes, g.requests); err != nil {
+		fs.msh.Transfer(p, node, fs.ionHome[ion], g.bytes)
+		if _, err := fs.ion[ion].DoSweep(p, int64(f.id), g.addr, g.bytes, g.requests); err != nil {
 			return total, sweeps, fmt.Errorf("write-gather %q at ionode %d: %w", name, ion, ErrIONodeDown)
 		}
 		fs.record(node, iotrace.OpWrite, f, g.firstOff, g.bytes, start, iotrace.ModeAsync)
@@ -176,18 +176,4 @@ func (fs *FileSystem) WriteGather(p *sim.Process, node int, name string, extents
 	}
 	f.extend(maxEnd)
 	return total, sweeps, nil
-}
-
-// ionSweep issues one aggregated scatter-gather sweep to an I/O node: direct
-// on a serial instance, as an RPC on a partitioned one.
-func (fs *FileSystem) ionSweep(p *sim.Process, node, ion int, stream, addr, bytes int64, requests int) error {
-	if fs.part == nil {
-		fs.msh.Transfer(p, node, fs.ionHome[ion], bytes)
-		_, err := fs.ion[ion].DoSweep(p, stream, addr, bytes, requests)
-		return err
-	}
-	return fs.ionRPC(p, node, ion, bytes, "pfs-sweep", func(sp *sim.Process, n *ionode.Node) error {
-		_, err := n.DoSweep(sp, stream, addr, bytes, requests)
-		return err
-	})
 }

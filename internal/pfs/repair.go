@@ -173,9 +173,6 @@ func (fs *FileSystem) NoteOutageStart(node int, at sim.Time) {
 	if fs.rep == nil || node < 0 || node >= len(fs.ion) {
 		return
 	}
-	if fs.part != nil {
-		fs.part.down[node]++
-	}
 	fs.rep.stats.Outages++
 	if fs.rep.stats.FirstVulnerableAt == 0 {
 		fs.rep.stats.FirstVulnerableAt = at
@@ -187,11 +184,6 @@ func (fs *FileSystem) NoteOutageStart(node int, at sim.Time) {
 func (fs *FileSystem) NoteOutageEnd(node int, at sim.Time) {
 	if fs.rep == nil || node < 0 || node >= len(fs.ion) {
 		return
-	}
-	if fs.part != nil {
-		// End fires when the node is actually back in service (the last
-		// overlapping outage closed), so the mirror resets outright.
-		fs.part.down[node] = 0
 	}
 	fs.rep.stats.LastOutageEndAt = at
 	fs.ensureRepair()
@@ -227,7 +219,7 @@ func (fs *FileSystem) noteMirrorMiss(f *File, primary, r int, addr, chunk int64)
 func (fs *FileSystem) enqueueRepair(f *File, primary, copy, src int, addr, chunk int64) {
 	rp := fs.rep
 	target := fs.placer().target(primary, copy)
-	if fs.arrayDead(target) {
+	if fs.ion[target].Array().Dead() {
 		return // nothing will ever accept this copy again
 	}
 	key := repairKey{target: target, addr: replicaAddr(addr, copy)}
@@ -332,10 +324,10 @@ func (fs *FileSystem) repairChunk(p *sim.Process, e repairEntry) repairOutcome {
 	pl := fs.placer()
 	srcIon := pl.target(e.primary, e.src)
 	dstIon := pl.target(e.primary, e.copy)
-	if fs.arrayDead(dstIon) {
+	if fs.ion[dstIon].Array().Dead() {
 		return repairHopeless
 	}
-	if fs.nodeDown(srcIon) || fs.nodeDown(dstIon) {
+	if fs.ion[srcIon].Down() || fs.ion[dstIon].Down() {
 		return repairBlocked
 	}
 	fid := int64(e.f.id)

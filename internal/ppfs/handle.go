@@ -81,8 +81,8 @@ func (h *Handle) Write(p *sim.Process, n int64) (int64, error) {
 	fs.class.Observe(h.file, h.node, iotrace.OpWrite, off, n)
 	h.invalidate(off, n)
 
-	// Explicit advice, the adaptive classifier, and the policy defaults
-	// decide (in that order) whether this write is buffered.
+	// The adaptive classifier and the policy defaults decide whether this
+	// write is buffered.
 	writeBehind := h.wantWriteBehind(n)
 	fb := fs.buffer(h.name)
 	if writeBehind {
@@ -194,8 +194,34 @@ func (h *Handle) ensureBlock(p *sim.Process, b int64, fileSize int64) error {
 	return err
 }
 
-// maybePrefetch issues asynchronous readahead when explicit advice, the
-// adaptive classifier, or the unconditional policy calls for it.
+// prefetchDepth resolves the effective readahead depth for a handle: the
+// adaptive classifier switches prefetch off for non-sequential streams,
+// otherwise the policy decides.
+func (h *Handle) prefetchDepth() int {
+	fs := h.fs
+	if fs.pol.Adaptive && fs.class.Classify(h.file, h.node).Pattern != PatternSequential {
+		return 0
+	}
+	return fs.pol.Prefetch
+}
+
+// wantWriteBehind resolves whether a write of n bytes should be buffered.
+func (h *Handle) wantWriteBehind(n int64) bool {
+	fs := h.fs
+	if !fs.pol.WriteBehind || n >= fs.pol.DirectWriteBytes {
+		return false
+	}
+	if fs.pol.Adaptive {
+		cl := fs.class.Classify(h.file, h.node)
+		if cl.Pattern == PatternSequential && cl.MeanBytes >= fs.pol.DirectWriteBytes {
+			return false
+		}
+	}
+	return true
+}
+
+// maybePrefetch issues asynchronous readahead when the adaptive classifier
+// or the unconditional policy calls for it.
 func (h *Handle) maybePrefetch(p *sim.Process, from, fileSize int64) {
 	fs := h.fs
 	depth := h.prefetchDepth()

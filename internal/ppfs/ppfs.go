@@ -19,7 +19,6 @@ type FileSystem struct {
 	cache   *blockCache
 	class   *Classifier
 	buffers map[string]*fileBuffer
-	advice  map[string]Advice
 
 	rec   iotrace.Recorder
 	phase string
@@ -173,15 +172,19 @@ func (fs *FileSystem) buffer(name string) *fileBuffer {
 }
 
 // addExtent buffers a write. With aggregation, overlapping or adjacent
-// extents coalesce into one; without, each write stays its own extent (still
-// asynchronous, but physically small).
+// extents coalesce into one, and fb.bytes grows only by the bytes the merge
+// adds: rewriting buffered bytes buffers nothing new, and counting it would
+// leave fb.bytes above zero once every extent is flushed. Without
+// aggregation, each write stays its own extent (still asynchronous, but
+// physically small).
 func (fs *FileSystem) addExtent(fb *fileBuffer, off, n int64, node int) {
-	fb.bytes += n
 	e := extent{start: off, end: off + n, node: node}
 	if !fs.pol.Aggregation {
+		fb.bytes += n
 		fb.extents = append(fb.extents, e)
 		return
 	}
+	before := extentBytes(fb.extents)
 	// Insert sorted, then merge neighbors.
 	i := sort.Search(len(fb.extents), func(i int) bool { return fb.extents[i].start >= e.start })
 	fb.extents = append(fb.extents, extent{})
@@ -198,6 +201,16 @@ func (fs *FileSystem) addExtent(fb *fileBuffer, off, n int64, node int) {
 		merged = append(merged, cur)
 	}
 	fb.extents = merged
+	fb.bytes += extentBytes(merged) - before
+}
+
+// extentBytes totals the lengths of extents.
+func extentBytes(extents []extent) int64 {
+	var n int64
+	for _, e := range extents {
+		n += e.end - e.start
+	}
+	return n
 }
 
 // scheduleFlush starts a background flusher or arms the linger timer.

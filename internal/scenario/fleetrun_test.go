@@ -92,3 +92,26 @@ func TestFleetOptionsMapping(t *testing.T) {
 		t.Fatal("single-machine scenario reported fleet options")
 	}
 }
+
+// TestShardLayoutValidation pins the knob's accepted forms: "single" (or no
+// key) runs, and the removed split layout is rejected with a message that
+// says so.
+func TestShardLayoutValidation(t *testing.T) {
+	parse := func(layout string) error {
+		src := "workload:\n  app: escat\nfleet_gen:\n  shard_layout: " + layout + "\n"
+		_, err := Parse([]byte(src), "")
+		return err
+	}
+	if err := parse("single"); err != nil {
+		t.Fatalf("shard_layout single rejected: %v", err)
+	}
+	for _, split := range []string{"split:2", "split:4"} {
+		err := parse(split)
+		if err == nil || !strings.Contains(err.Error(), "shard_layout") || !strings.Contains(err.Error(), "was removed") {
+			t.Errorf("shard_layout %q: got err %v, want a rejection naming the removal", split, err)
+		}
+	}
+	if err := parse("mesh"); err == nil || !strings.Contains(err.Error(), "shard_layout") {
+		t.Errorf("shard_layout mesh: got err %v, want a shard_layout rejection", err)
+	}
+}

@@ -44,33 +44,18 @@ func (r *Scenario) Execute() (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Scenario: r, Fleet: fleet}
-	// The fleet and split shapes run one attempt, no restart loop, and the
-	// measurement layer reads the (representative cell's) event trace. A
-	// failure there is a configuration or launch error, not an assertable
-	// outcome, so it fails Execute.
-	traced := rs.Study
-	traced.KeepTrace = true
-	fo, isFleet := r.FleetOptions(r.Shards)
-	switch {
-	case isFleet:
+	if fo, isFleet := r.FleetOptions(r.Shards); isFleet {
+		// A fleet runs one attempt per cell, no restart loop, and the
+		// measurement layer reads the representative cell's event trace. A
+		// failure there is a configuration or launch error, not an
+		// assertable outcome, so it fails Execute.
+		traced := rs.Study
+		traced.KeepTrace = true
 		res.FleetRun, err = core.RunFleet(traced, fo)
 		if err == nil {
 			res.Report = FleetResilientReport(res.FleetRun)
 		}
-	case r.ioShards() > 0:
-		// The machine is split across the fabric (fleet_gen.shard_layout
-		// "split:N"), with the CLI's -shards value as the worker bound.
-		var sr *core.ShardedReport
-		sr, err = core.RunSharded(traced, core.ShardedOptions{IOShards: r.ioShards(), Workers: r.Shards, Seed: r.Seed})
-		if err == nil {
-			res.Report = &core.ResilientReport{
-				Final:     sr.Report,
-				Attempts:  []core.Attempt{{End: sr.Wall}},
-				Incidents: sr.Incidents,
-				Wall:      sr.Wall,
-			}
-		}
-	default:
+	} else {
 		res.Report, res.RunErr = core.RunResilient(rs)
 		if res.Report == nil {
 			// No report at all: the study itself was rejected.
@@ -97,11 +82,10 @@ func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
 		stagger = sim.FromSeconds(r.FleetGen.StaggerS)
 	}
 	return core.FleetOptions{
-		Cells:    r.cells(),
-		Stagger:  stagger,
-		Shards:   shards,
-		IOShards: r.ioShards(),
-		Seed:     r.Seed,
+		Cells:   r.cells(),
+		Stagger: stagger,
+		Shards:  shards,
+		Seed:    r.Seed,
 	}, true
 }
 

@@ -90,13 +90,8 @@ type FleetGen struct {
 	// fleet scheduler dispatching jobs in sequence (with cells > 1).
 	StaggerS float64 `json:"stagger_s,omitempty"`
 
-	// ShardLayout partitions each machine internally across the
-	// conservative fabric: "single" (the default) keeps a machine on one
-	// engine; "split:N" places its I/O nodes round-robin on N server shards
-	// with the compute partition on a frontend shard, every client↔I/O
-	// request crossing shards as lookahead-bounded mail. Results are
-	// byte-identical at every -shards worker bound for a fixed layout.
-	// Split machines run a single attempt (no checkpoint/restart loop).
+	// ShardLayout is "single" (the default): every machine runs on one
+	// engine. The removed "split:N" layout is rejected by Validate.
 	ShardLayout string `json:"shard_layout,omitempty"`
 }
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/fault"
@@ -87,8 +86,12 @@ func (s *Scenario) validateFleetGen() error {
 	if fg.StaggerS > 0 && fg.Cells <= 1 {
 		return fmt.Errorf("fleet_gen.stagger_s needs cells > 1")
 	}
-	if _, err := parseShardLayout(fg.ShardLayout); err != nil {
-		return fmt.Errorf("fleet_gen.shard_layout: %w", err)
+	switch {
+	case fg.ShardLayout == "" || fg.ShardLayout == "single":
+	case strings.HasPrefix(fg.ShardLayout, "split:"):
+		return fmt.Errorf("fleet_gen.shard_layout %q: the intra-machine split layout was removed; every machine runs on one engine (use \"single\" or drop the key)", fg.ShardLayout)
+	default:
+		return fmt.Errorf("fleet_gen.shard_layout %q: want \"single\"", fg.ShardLayout)
 	}
 	fixed := 0
 	names := map[string]bool{}
@@ -295,15 +298,6 @@ func (s *Scenario) validateRun() error {
 			return fmt.Errorf("run.max_attempts: fleet_gen.cells > 1 runs a single attempt per cell")
 		}
 	}
-	if s.ioShards() > 0 && s.cells() <= 1 {
-		// A split machine likewise runs one attempt on the fabric.
-		if r.CkptInterval != nil && *r.CkptInterval > 0 {
-			return fmt.Errorf("run.ckpt_interval: fleet_gen.shard_layout %q runs a single attempt (set ckpt_interval: 0)", s.FleetGen.ShardLayout)
-		}
-		if r.MaxAttempts > 1 {
-			return fmt.Errorf("run.max_attempts: fleet_gen.shard_layout %q runs a single attempt", s.FleetGen.ShardLayout)
-		}
-	}
 	if r.CkptBytes != nil && *r.CkptBytes < 0 {
 		return fmt.Errorf("run.ckpt_bytes %d is negative", *r.CkptBytes)
 	}
@@ -395,44 +389,12 @@ func (s *Scenario) cells() int {
 	return 1
 }
 
-// parseShardLayout decodes fleet_gen.shard_layout: "" or "single" keep each
-// machine on one engine (0), "split:N" partitions its I/O nodes over N
-// server shards.
-func parseShardLayout(layout string) (int, error) {
-	switch {
-	case layout == "" || layout == "single":
-		return 0, nil
-	case strings.HasPrefix(layout, "split:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(layout, "split:"))
-		if err != nil || n < 1 {
-			return 0, fmt.Errorf("%q: want \"single\" or \"split:N\" with N >= 1", layout)
-		}
-		return n, nil
-	default:
-		return 0, fmt.Errorf("%q: want \"single\" or \"split:N\"", layout)
-	}
-}
-
-// ioShards returns the per-machine I/O shard count (0 = unpartitioned).
-func (s *Scenario) ioShards() int {
-	if s.FleetGen == nil {
-		return 0
-	}
-	n, _ := parseShardLayout(s.FleetGen.ShardLayout)
-	return n
-}
-
-// IOShards is the exported face of the shard_layout knob: the number of I/O
-// shards each machine is split across, 0 for the single-engine shape. CLIs
-// that run a scenario's study through core.RunSharded themselves read it.
-func (s *Scenario) IOShards() int { return s.ioShards() }
-
 // ckptInterval returns the checkpoint interval: the stress command's default
 // of 2 when unset, the explicit value (including 0 = off) otherwise. render
 // never checkpoints — it has no checkpointable work loop — and multi-cell
 // fleets run single attempts (validateRun rejects an explicit interval).
 func (s *Scenario) ckptInterval() int {
-	if s.cells() > 1 || s.ioShards() > 0 {
+	if s.cells() > 1 {
 		return 0
 	}
 	if s.Run.CkptInterval != nil {

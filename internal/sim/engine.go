@@ -54,14 +54,6 @@ type Engine struct {
 	// is not a deadlock — the fabric decides that globally.
 	external bool
 
-	// stopOnMail marks a solo free-run window: the fabric is executing this
-	// shard with no horizon because every other shard is quiescent and can
-	// only act after this one sends. A cross-shard send must then surface
-	// promptly — Shard.checkSend clamps the run limit to the current instant,
-	// so the shard finishes the instant's events and yields through the
-	// ordinary limit machinery (including Sleep's in-place fast path).
-	stopOnMail bool
-
 	batch []event // scratch for scheduleBatch
 }
 
@@ -357,17 +349,6 @@ func (e *Engine) RunUntil(limit Time) error {
 		return e.deadlockError()
 	}
 	return nil
-}
-
-// clampLimit caps the active run limit at the current instant. Shard.checkSend
-// calls it on a cross-shard send during a solo free-run window (stopOnMail):
-// the shard finishes the current instant's events — mail is timestamped at
-// least one lookahead ahead, so those events cannot observe it — and then
-// yields through the ordinary limit checks so the fabric can exchange mail.
-func (e *Engine) clampLimit() {
-	if e.limit < 0 || e.limit > e.now {
-		e.limit = e.now
-	}
 }
 
 // NextEventAt reports the timestamp of the earliest queued event. ok is false

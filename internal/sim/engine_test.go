@@ -250,45 +250,6 @@ func TestSequencerEnforcesOrder(t *testing.T) {
 	}
 }
 
-func TestQueueBlocksAndDelivers(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[int](e, "mail")
-	var got []int
-	e.Spawn("consumer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	e.Spawn("producer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(1 * Second)
-			q.Put(p, i)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e, "m")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	e.Spawn("p", func(p *Process) { q.Put(p, "x") })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-}
-
 func TestCompletionAwaitBeforeAndAfterFire(t *testing.T) {
 	e := NewEngine()
 	c := NewCompletion("io")

@@ -200,96 +200,3 @@ func FuzzFabricMailTieBreak(f *testing.F) {
 		}
 	})
 }
-
-// replyWorkload drives an RPC-style client/server pair over a Connect request
-// edge and a ConnectReply zero-lookahead reply edge, returning the client's
-// observed completion log.
-func replyWorkload(t *testing.T, workers int) string {
-	const lookahead = 5 * Microsecond
-	f := NewFabric(workers)
-	client := f.AddShard("client", 1)
-	server := f.AddShard("server", 1)
-	f.Connect(client, server, lookahead)
-	f.ConnectReply(server, client)
-	var b strings.Builder
-	client.Engine().Spawn("rpc", func(p *Process) {
-		for r := 0; r < 6; r++ {
-			p.Sleep(Microsecond)
-			service := Time(r+1) * 2 * Microsecond
-			sentAt := p.Now()
-			reply := ""
-			client.Send(p, server, lookahead, "request", func(sp *Process) {
-				sp.Sleep(service)
-				r := r
-				server.SendWake(sp, client, 0, "reply", p, func() {
-					reply = fmt.Sprintf("done%d", r)
-				})
-			})
-			p.Park("pfs: awaiting reply")
-			if want := sentAt + lookahead + service; p.Now() != want {
-				t.Errorf("rpc %d: woke at %v, want %v", r, p.Now(), want)
-			}
-			if reply == "" {
-				t.Errorf("rpc %d: reply closure never applied", r)
-			}
-			fmt.Fprintf(&b, "%s@%d\n", reply, p.Now())
-		}
-	})
-	if err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestFabricReplyRoundTrip exercises the zero-lookahead reply path: the
-// requester parks, the server wakes it at exactly request-arrival + service
-// time, and the trace is byte-identical at every worker count.
-func TestFabricReplyRoundTrip(t *testing.T) {
-	ref := replyWorkload(t, 1)
-	if !strings.Contains(ref, "done5@") {
-		t.Fatalf("reply workload incomplete:\n%s", ref)
-	}
-	for _, workers := range []int{2, 4} {
-		if got := replyWorkload(t, workers); got != ref {
-			t.Errorf("workers=%d: reply trace differs from serial reference", workers)
-		}
-	}
-}
-
-// TestFabricConnectReplyCycleRejected pins the structural guard: reply edges
-// are zero-lookahead, so any cycle composed purely of reply edges would
-// collapse the horizon fixpoint and deadlock the protocol — ConnectReply must
-// refuse to close one.
-func TestFabricConnectReplyCycleRejected(t *testing.T) {
-	mustPanic := func(name string, build func(f *Fabric)) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected a panic")
-				}
-			}()
-			build(NewFabric(1))
-		})
-	}
-	mustPanic("two-cycle", func(f *Fabric) {
-		a, b := f.AddShard("a", 1), f.AddShard("b", 1)
-		f.ConnectReply(a, b)
-		f.ConnectReply(b, a)
-	})
-	mustPanic("three-cycle", func(f *Fabric) {
-		a, b, c := f.AddShard("a", 1), f.AddShard("b", 1), f.AddShard("c", 1)
-		f.ConnectReply(a, b)
-		f.ConnectReply(b, c)
-		f.ConnectReply(c, a)
-	})
-	mustPanic("self-edge", func(f *Fabric) {
-		a := f.AddShard("a", 1)
-		f.ConnectReply(a, a)
-	})
-	// The legal RPC shape must not trip the guard: the request edge carries
-	// positive lookahead, so the cycle it closes is not zero-weight.
-	f := NewFabric(1)
-	a, b := f.AddShard("a", 1), f.AddShard("b", 1)
-	f.Connect(a, b, Microsecond)
-	f.ConnectReply(b, a)
-}

@@ -123,6 +123,42 @@ func TestFabricHorizonBoundary(t *testing.T) {
 	}
 }
 
+// TestFabricChainThroughQuiescentShard guards the send-bound relaxation: in
+// a chain a->b->c where b has nothing queued, c's horizon must still account
+// for mail a sends to b that b forwards to c. Bounding c by b's own (empty)
+// queue would let c run past the forwarded mail's timestamp.
+func TestFabricChainThroughQuiescentShard(t *testing.T) {
+	const lookahead = 4 * Microsecond
+	for _, workers := range []int{1, 2} {
+		f := NewFabric(workers)
+		a, b, c := f.AddShard("a", 1), f.AddShard("b", 1), f.AddShard("c", 1)
+		f.Connect(a, b, lookahead)
+		f.Connect(b, c, lookahead)
+		var log []string
+		a.Engine().Spawn("sender", func(p *Process) {
+			p.Sleep(Microsecond)
+			a.Send(p, b, lookahead, "first", func(bp *Process) {
+				b.Send(bp, c, lookahead, "forward", func(cp *Process) {
+					log = append(log, fmt.Sprintf("forward@%d", cp.Now()))
+				})
+			})
+		})
+		c.Engine().Spawn("ticker", func(p *Process) {
+			for r := 0; r < 20; r++ {
+				p.Sleep(Microsecond)
+			}
+			log = append(log, fmt.Sprintf("ticker@%d", p.Now()))
+		})
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("forward@%d ticker@%d", Microsecond+2*lookahead, 20*Microsecond)
+		if got := strings.Join(log, " "); got != want {
+			t.Fatalf("workers=%d: got %q, want %q", workers, got, want)
+		}
+	}
+}
+
 // TestFabricDeadlock verifies the global deadlock determination: a process
 // parked forever with no mail in flight anywhere must be reported (by the
 // fabric — the shard engine itself defers the verdict).

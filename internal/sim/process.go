@@ -134,8 +134,3 @@ func (p *Process) Park(why string) {
 func (p *Process) Wake(target *Process) {
 	p.eng.schedule(target, p.eng.now)
 }
-
-// WakeAt schedules a parked process to resume at the given absolute time.
-func (p *Process) WakeAt(target *Process, at Time) {
-	p.eng.schedule(target, at)
-}

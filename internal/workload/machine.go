@@ -77,27 +77,6 @@ func NewMachineOn(eng *sim.Engine, cfg MachineConfig) (*Machine, error) {
 	return &Machine{Eng: eng, Mesh: msh, PFS: fs, Nodes: cfg.ComputeNodes}, nil
 }
 
-// NewPartitionedMachine builds a machine whose I/O nodes are split across
-// fabric shards: the compute partition (and every client-side PFS structure)
-// lives on fe's engine, while each I/O node's service loop runs on the shard
-// assign[i] names. The mesh is shared read-only for cost lookups; all
-// client↔I/O-node traffic crosses the fabric as bounded-lookahead mail, so
-// one application run executes on len(srv)+1 engines with results
-// byte-identical to the serial machine's partition-aware mode at any worker
-// count.
-func NewPartitionedMachine(fe *sim.Shard, srv []*sim.Shard, assign []int, cfg MachineConfig) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	msh := mesh.New(mesh.DefaultConfig(cfg.ComputeNodes + cfg.PFS.IONodes))
-	cfg.PFS.ComputeNodes = cfg.ComputeNodes
-	fs, err := pfs.NewPartitioned(fe, srv, assign, msh, cfg.PFS)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{Eng: fe.Engine(), Mesh: msh, PFS: fs, Nodes: cfg.ComputeNodes}, nil
-}
-
 // App is one runnable application skeleton. Launch spawns the application's
 // processes on the machine; the caller then drives m.Eng.Run().
 type App interface {
