@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,12 +40,21 @@ var goldenRuns = []struct {
 	{"rf2-placement", []string{"-small", "-rf", "2", "-placement-seed", "3", "-read-policy", "any-replica", "-mtbf", "4", "-outage", "0.5", "-seed", "3"}},
 	{"rf3-repair", []string{"-small", "-rf", "3", "-repair", "-repair-mb-s", "8", "-mtbf", "2", "-seed", "3"}},
 	{"rf3-repair-unthrottled", []string{"-small", "-rf", "3", "-repair", "-repair-mb-s", "0", "-repair-give-up", "5", "-mtbf", "2", "-seed", "3"}},
+	// An outage outlasts failover under a write-behind flush: the lost
+	// flush fails the writer's next close, and the job is killed.
+	{"ppfs-outage", []string{"-app", "escat", "-small", "-policy", "ppfs", "-mtbf", "2", "-outage", "1", "-seed", "3"}},
 }
 
+// TestGoldenFlagRuns pins each run's outcome: its report, or the error that
+// ended the run, written after whatever the run printed first.
 func TestGoldenFlagRuns(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			checkGolden(t, g.name+".golden", capture(t, g.args...))
+			var buf bytes.Buffer
+			if err := run(g.args, &buf); err != nil {
+				fmt.Fprintf(&buf, "error: %v\n", err)
+			}
+			checkGolden(t, g.name+".golden", buf.String())
 		})
 	}
 }

@@ -91,7 +91,9 @@ func (h *Handle) Write(p *sim.Process, n int64) (int64, error) {
 		fs.stats.BufferedWrites++
 		fs.scheduleFlush(fb)
 	} else {
-		fs.drain(p, fb)
+		if err := fs.drain(p, fb); err != nil {
+			return 0, err
+		}
 		if _, err := fs.under.Access(p, h.node, h.name, iotrace.OpWrite, off, n); err != nil {
 			return 0, err
 		}
@@ -134,7 +136,9 @@ func (h *Handle) readAt(p *sim.Process, off, n int64) (int64, error) {
 
 	fb := fs.buffer(h.name)
 	if fb.bytes > 0 {
-		fs.drain(p, fb)
+		if err := fs.drain(p, fb); err != nil {
+			return 0, err
+		}
 	}
 	info, _ := fs.under.Stat(h.name)
 	if off >= info.Size {
@@ -400,7 +404,9 @@ func (h *Handle) Flush(p *sim.Process) error {
 		return pfs.ErrClosed
 	}
 	start := p.Now()
-	h.fs.drain(p, h.fs.buffer(h.name))
+	if err := h.fs.drain(p, h.fs.buffer(h.name)); err != nil {
+		return err
+	}
 	if err := h.under.Flush(p); err != nil {
 		return err
 	}
@@ -413,7 +419,9 @@ func (h *Handle) SetIOMode(p *sim.Process, mode iotrace.AccessMode, recordLen in
 	if h.closed {
 		return pfs.ErrClosed
 	}
-	h.fs.drain(p, h.fs.buffer(h.name))
+	if err := h.fs.drain(p, h.fs.buffer(h.name)); err != nil {
+		return err
+	}
 	if err := h.under.SetIOMode(p, mode, recordLen); err != nil {
 		return err
 	}
@@ -428,13 +436,13 @@ func (h *Handle) Close(p *sim.Process) error {
 		return pfs.ErrClosed
 	}
 	start := p.Now()
-	fb := h.fs.buffer(h.name)
-	h.fs.drain(p, fb)
+	if err := h.fs.drain(p, h.fs.buffer(h.name)); err != nil {
+		return err
+	}
 	if err := h.under.Close(p); err != nil {
 		return err
 	}
 	h.closed = true
-	fb.openHandles--
 	h.fs.record(h.node, iotrace.OpClose, h.file, 0, 0, start, h.mode)
 	return nil
 }

@@ -137,6 +137,7 @@ type Stats struct {
 	DirectWrites   int64 // writes sent straight through
 	Flushes        int64 // physical write extents issued by flushers
 	FlushedBytes   int64 // bytes those extents carried
+	LostBytes      int64 // buffered bytes whose flush write failed
 	Drains         int64 // synchronous drains forced by reads/closes
 }
 

@@ -137,8 +137,6 @@ func (fs *FileSystem) OpenRecord(p *sim.Process, node int, name string, recordLe
 
 func (fs *FileSystem) newHandle(p *sim.Process, uh *pfs.Handle, node int, name string,
 	mode iotrace.AccessMode, start sim.Time) *Handle {
-	fb := fs.buffer(name)
-	fb.openHandles++
 	info, _ := fs.under.Stat(name)
 	fs.record(node, iotrace.OpOpen, info.ID, 0, 0, start, mode)
 	return &Handle{fs: fs, under: uh, node: node, name: name, file: info.ID, mode: mode}
@@ -146,13 +144,13 @@ func (fs *FileSystem) newHandle(p *sim.Process, uh *pfs.Handle, node int, name s
 
 // fileBuffer is the write-behind state for one file.
 type fileBuffer struct {
-	name        string
-	extents     []extent
-	bytes       int64
-	flushing    bool
-	timerArmed  bool
-	openHandles int
-	waiters     []*sim.Process
+	name       string
+	extents    []extent
+	bytes      int64
+	flushing   bool
+	timerArmed bool
+	waiters    []*sim.Process
+	err        error // first flush failure not yet returned by a drain
 }
 
 // extent is one buffered write range [start, end), attributed to the node
@@ -238,7 +236,9 @@ func (fs *FileSystem) scheduleFlush(fb *fileBuffer) {
 // drain waiters. It runs with fb.flushing held. With aggregation, the whole
 // pending batch goes out as scatter-gather sweeps (one per I/O node) — the
 // global request aggregation of §5.2; without, each extent is written
-// individually (still asynchronous, but physically small).
+// individually (still asynchronous, but physically small). A write that
+// fails loses its bytes — the write-behind risk §5.2 trades for speed — and
+// the failure is kept for the file's next drain to return.
 func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 	for len(fb.extents) > 0 {
 		if fs.pol.Aggregation {
@@ -255,10 +255,11 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 			// fb.bytes stays up until the physical writes land, so drain
 			// waiters cannot observe a flush-in-flight as "done".
 			written, sweeps, err := fs.under.WriteGather(p, node, fb.name, gext)
-			if err != nil {
-				panic(fmt.Sprintf("ppfs: aggregated flush of %q failed: %v", fb.name, err))
-			}
 			fb.bytes -= n
+			if err != nil {
+				fs.flushFailed(fb, n, err)
+				continue
+			}
 			fs.stats.Flushes += int64(sweeps)
 			fs.stats.FlushedBytes += written
 			continue
@@ -266,10 +267,12 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 		e := fb.extents[0]
 		fb.extents = fb.extents[1:]
 		n := e.end - e.start
-		if _, err := fs.under.Access(p, e.node, fb.name, iotrace.OpWrite, e.start, n); err != nil {
-			panic(fmt.Sprintf("ppfs: flush of %q failed: %v", fb.name, err))
-		}
+		_, err := fs.under.Access(p, e.node, fb.name, iotrace.OpWrite, e.start, n)
 		fb.bytes -= n
+		if err != nil {
+			fs.flushFailed(fb, n, err)
+			continue
+		}
 		fs.stats.Flushes++
 		fs.stats.FlushedBytes += n
 	}
@@ -281,13 +284,23 @@ func (fs *FileSystem) runFlush(p *sim.Process, fb *fileBuffer) {
 	}
 }
 
-// drain synchronously empties fb's buffer (reads, closes, lsize, and direct
-// writes that would conflict call it).
-func (fs *FileSystem) drain(p *sim.Process, fb *fileBuffer) {
-	if fb.bytes == 0 && !fb.flushing {
-		return
+// flushFailed records a flush write that failed: its n bytes are lost, and
+// the first such failure waits for the file's next drain.
+func (fs *FileSystem) flushFailed(fb *fileBuffer, n int64, err error) {
+	fs.stats.LostBytes += n
+	if fb.err == nil {
+		fb.err = fmt.Errorf("ppfs: flush of %q: %w", fb.name, err)
 	}
-	fs.stats.Drains++
+}
+
+// drain synchronously empties fb's buffer (reads, closes, lsize, and direct
+// writes that would conflict call it). It returns the first flush failure
+// since the last drain that returned one, so a write-behind loss surfaces
+// as the error of the file's next synchronizing call.
+func (fs *FileSystem) drain(p *sim.Process, fb *fileBuffer) error {
+	if fb.bytes > 0 || fb.flushing {
+		fs.stats.Drains++
+	}
 	for fb.bytes > 0 || fb.flushing {
 		if !fb.flushing {
 			fb.flushing = true
@@ -296,6 +309,9 @@ func (fs *FileSystem) drain(p *sim.Process, fb *fileBuffer) {
 		fb.waiters = append(fb.waiters, p)
 		p.Park("ppfs-drain:" + fb.name)
 	}
+	err := fb.err
+	fb.err = nil
+	return err
 }
 
 // Interface check.

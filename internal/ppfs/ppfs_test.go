@@ -669,3 +669,42 @@ func newRigQuiet() *rig {
 	fs, _ := New(eng, under, DefaultPolicy())
 	return &rig{eng: eng, fs: fs}
 }
+
+// TestFlushFailureReturnedByNextDrain: a write-behind flush that fails
+// loses its bytes and hands the failure to the file's next synchronizing
+// call, with or without aggregation, instead of crashing the simulation.
+func TestFlushFailureReturnedByNextDrain(t *testing.T) {
+	for _, agg := range []bool{true, false} {
+		t.Run(fmt.Sprintf("aggregation=%v", agg), func(t *testing.T) {
+			pol := DefaultPolicy()
+			pol.Aggregation = agg
+			r := newRig(t, pol)
+			var closeErr, secondErr error
+			r.run(t, func(p *sim.Process) {
+				h, err := r.fs.Create(p, 0, "f", iotrace.ModeUnix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ion := range r.fs.Under().IONodes() {
+					ion.Fail(p)
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := h.Write(p, 2048); err != nil {
+						t.Fatal(err)
+					}
+				}
+				closeErr = h.Close(p)
+				secondErr = r.fs.drain(p, r.fs.buffer("f"))
+			})
+			if !errors.Is(closeErr, pfs.ErrIONodeDown) {
+				t.Fatalf("Close after failed flush: %v, want ErrIONodeDown", closeErr)
+			}
+			if secondErr != nil {
+				t.Fatalf("the failure was returned twice: %v", secondErr)
+			}
+			if st := r.fs.Stats(); st.LostBytes != 4*2048 || st.FlushedBytes != 0 {
+				t.Fatalf("stats %+v: want 8192 lost bytes, none flushed", st)
+			}
+		})
+	}
+}

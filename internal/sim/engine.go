@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
@@ -5,29 +7,33 @@
 // Paragon XP/S machine model, the PFS parallel file system, and the
 // application skeletons all run as sim processes against one virtual clock.
 //
-// Concurrency model: processes are goroutines, but they execute in strict
-// lock-step — exactly one goroutine (the engine or a single process) runs at
-// any instant. A process runs until it blocks on a simulation primitive
-// (Sleep, Park, Resource.Acquire, Barrier.Wait, ...); the next event is then
-// popped from a stable priority queue (ordered by time, then by schedule
-// sequence number) and the corresponding process resumed. Because scheduling
-// order is a pure function of the event queue contents, identical inputs
-// produce identical traces, bit for bit.
+// Concurrency model: each process is an iter.Pull coroutine, and one
+// dispatch loop (RunUntil) drives them all. A process runs until it blocks
+// on a simulation primitive (Sleep, Park, Resource.Acquire, Barrier.Wait,
+// ...) by yielding back to the loop, which pops the next event from a stable
+// priority queue (ordered by time, then by schedule sequence number) and
+// resumes that event's coroutine. Exactly one coroutine runs at any instant,
+// and scheduling order is a pure function of the event queue contents, so
+// identical inputs produce identical traces, bit for bit.
 //
 // Hot-path design: the event queue is an inlined 4-ary min-heap specialized
 // to the event struct — no interface boxing, no per-event allocation once the
-// backing array has grown. Control transfers are direct: a blocking process
-// runs the dispatch loop itself (Engine.advance) and resumes the next due
-// process with a single channel handoff, without bouncing through the engine
-// goroutine; when its own wake-up is the next event it simply keeps running.
-// The engine goroutine is only woken when no process is runnable (queue
-// drained, run limit reached, Stop, or deadlock). Dispatch runs the same
-// advance() whoever holds control, so the executed event order is identical
-// to the classic two-handoff engine loop.
+// backing array has grown. A coroutine switch is a direct goroutine swap on
+// the same OS thread, with no scheduler round trip, and a sleeping process
+// whose own wake-up is the next event keeps running in place without one.
+// Finished processes keep their coroutine on a free list: it waits for the
+// body of the next Spawn, so process churn creates no goroutines. The idle
+// coroutines stop when a run drains its queue or stops, and at Retire, so
+// none outlives Run, Fabric.Run or Retire.
+//
+// The iter package needs Go 1.23, hence this file's build constraint; the
+// module's go line stays lower so the separate benchmark module still builds
+// against it unchanged.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -41,13 +47,11 @@ type Engine struct {
 	seq    uint64 // monotonically increasing schedule sequence, breaks ties
 	nextID int
 
-	living   int
-	stopped  bool
-	retiring bool          // Retire is unwinding the living processes
-	limit    Time          // active RunUntil horizon (< 0: none); gates in-place resumes
-	wake     chan struct{} // signals the engine goroutine that no process is runnable
-	procs    []*Process    // live processes, for deadlock diagnostics
-	free     []*Process    // finished processes whose struct and channels are reusable
+	living  int
+	stopped bool
+	limit   Time       // active RunUntil horizon (< 0: none); gates in-place resumes
+	procs   []*Process // live processes, for deadlock diagnostics
+	free    []*Process // finished processes whose struct and coroutine are reusable
 
 	// external marks an engine owned by a Fabric shard: processes may park
 	// waiting for cross-shard mail, so a drained queue with living processes
@@ -59,7 +63,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at time zero and no processes.
 func NewEngine() *Engine {
-	return &Engine{limit: -1, wake: make(chan struct{})}
+	return &Engine{limit: -1}
 }
 
 // Now reports the current simulated time.
@@ -227,9 +231,9 @@ func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 }
 
 // SpawnAt creates a new process that starts after the given delay from the
-// current simulated time. Process structs and their handoff channels are
-// recycled from finished processes when possible; only the goroutine itself
-// is created fresh per spawn.
+// current simulated time. Process structs and their coroutines are recycled
+// from finished processes when possible, so a spawn in steady state
+// allocates nothing.
 func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process {
 	if delay < 0 {
 		panic("sim: negative spawn delay")
@@ -242,27 +246,26 @@ func (e *Engine) SpawnAt(name string, delay Time, fn func(p *Process)) *Process 
 		e.free = e.free[:n-1]
 		p.done = false
 	} else {
-		p = &Process{
-			eng:    e,
-			resume: make(chan struct{}),
-		}
+		p = &Process{eng: e}
+	}
+	if p.resume == nil {
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.id = e.nextID
 	p.name = name
+	p.fn = fn
+	p.blockedTurn = -1
 	e.living++
 	p.procIdx = len(e.procs)
 	e.procs = append(e.procs, p)
-	go p.top(fn)
 	e.schedule(p, e.now+delay)
 	return p
 }
 
 // advance pops events until it finds a process to run, advancing the clock
 // and discarding stale wakes of finished processes along the way. It returns
-// nil when control belongs to the engine goroutine instead: queue drained,
-// run limit reached, or Stop called. Both the engine loop and blocking
-// processes dispatch through advance, so the executed event order is the
-// same regardless of which goroutine runs it.
+// nil when the dispatch loop should return instead: queue drained, run limit
+// reached, or Stop called.
 func (e *Engine) advance() *Process {
 	for !e.stopped {
 		head, ok := e.events.min()
@@ -287,15 +290,12 @@ func (e *Engine) advance() *Process {
 	return nil
 }
 
-// dispatch hands control to next, or back to the engine goroutine when next
-// is nil. Called by a process that is about to stop running (blocking or
-// finishing); the caller must not touch engine state afterwards.
-func (e *Engine) dispatch(next *Process) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		e.wake <- struct{}{}
-	}
+// exit retires a process whose body has returned or been unwound.
+func (e *Engine) exit(p *Process) {
+	p.done = true
+	e.living--
+	e.unregister(p)
+	e.recycle(p)
 }
 
 // unregister removes a finished process from the live-process list
@@ -309,10 +309,10 @@ func (e *Engine) unregister(p *Process) {
 	e.procs = e.procs[:last]
 }
 
-// recycle returns a finished process's struct and channels to the spawn free
-// list. A process with a wake still pending has a stale event in the queue
-// referencing it; it is recycled when that event pops instead, so a reused
-// struct can never be resumed by a dead process's event.
+// recycle returns a finished process's struct and coroutine to the spawn
+// free list. A process with a wake still pending has a stale event in the
+// queue referencing it; it is recycled when that event pops instead, so a
+// reused struct can never be resumed by a dead process's event.
 func (e *Engine) recycle(p *Process) {
 	if p.pendingWake {
 		return
@@ -320,26 +320,41 @@ func (e *Engine) recycle(p *Process) {
 	e.free = append(e.free, p)
 }
 
+// stopIdle ends the coroutines idling on the free list, so that no goroutine
+// outlives a run. Their structs stay reusable; a later Spawn starts a fresh
+// coroutine.
+func (e *Engine) stopIdle() {
+	for _, p := range e.free {
+		p.halt()
+	}
+}
+
 // Run executes events until the event queue drains or Stop is called. It
 // returns an error if processes remain blocked with no pending events
-// (deadlock) or if a process panicked with a simulation fault.
+// (deadlock). A panic in a process propagates out of Run with its original
+// value.
 func (e *Engine) Run() error {
 	return e.RunUntil(-1)
 }
 
 // RunUntil executes events with timestamps <= limit (limit < 0 means no
 // limit). Events beyond the limit stay queued, so the simulation can be
-// resumed with a later call.
+// resumed with a later call. This is the dispatch loop: it resumes each due
+// process's coroutine, which runs until it blocks or finishes. Idle
+// coroutines are kept for the next call only when events remain queued and
+// the engine is not stopped.
 func (e *Engine) RunUntil(limit Time) error {
 	e.limit = limit
-	// Hand control to the first runnable process; it and its successors pass
-	// control among themselves directly (see Process.block), and the engine
-	// goroutine sleeps until a process finds nothing left to run.
-	if next := e.advance(); next != nil {
-		next.resume <- struct{}{}
-		<-e.wake
+	for p := e.advance(); p != nil; p = e.advance() {
+		p.resume()
 	}
 	e.limit = -1
+	if e.stopped || e.events.len() == 0 {
+		// Nothing runs again before a Spawn, so the idle coroutines would
+		// only hold their stacks. A fleet cell's shard releases them when
+		// the cell finishes, not when the whole fleet does.
+		e.stopIdle()
+	}
 	if e.stopped {
 		return nil
 	}
@@ -372,18 +387,21 @@ func (e *Engine) SetExternal() { e.external = true }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Retire ends an engine that will not run again: an abandoned attempt, or a
-// run that failed with processes still parked. Every living process — parked
-// in a primitive or not yet started — is resumed once and unwinds through its
-// goroutine's ordinary retire path, so deferred calls in its body run and the
-// goroutine exits. It must be called from outside the engine, after Run has
-// returned.
+// run that failed with processes still parked. Every living process's
+// coroutine is stopped: a parked body unwinds from its blocking call, so its
+// deferred calls run, and a body that never started never runs. Idle
+// coroutines are stopped too, so no goroutine outlives the engine. It must
+// be called from outside the engine, after Run has returned.
 func (e *Engine) Retire() {
 	e.stopped = true
-	e.retiring = true
 	for len(e.procs) > 0 {
-		e.procs[len(e.procs)-1].resume <- struct{}{}
-		<-e.wake
+		p := e.procs[len(e.procs)-1]
+		p.halt()
+		if !p.done { // a body that recovered the unwind finished by itself
+			e.exit(p)
+		}
 	}
+	e.stopIdle()
 }
 
 // Stopped reports whether Stop has been called.
@@ -410,7 +428,11 @@ func (e *Engine) deadlockError() error {
 	}
 	parts := make([]string, len(shown))
 	for i, p := range shown {
-		parts[i] = fmt.Sprintf("%s(id=%d,%s)", p.name, p.id, p.blockedOn)
+		why := p.blockedOn
+		if p.blockedTurn >= 0 {
+			why = fmt.Sprintf("%s[%d]", why, p.blockedTurn)
+		}
+		parts[i] = fmt.Sprintf("%s(id=%d,%s)", p.name, p.id, why)
 	}
 	suffix := ""
 	if len(blocked) > max {

@@ -301,9 +301,10 @@ func TestStopHaltsRun(t *testing.T) {
 }
 
 // TestRetireUnwindsLivingProcesses stops an engine with one process parked
-// at a barrier that will never fill, one asleep, and one not yet started:
-// Retire must run the parked and sleeping bodies' deferred calls, never start
-// the late one, and leave no goroutine behind.
+// at a barrier that will never fill, one asleep, one not yet started, and
+// one finished whose coroutine idles on the free list: Retire must run the
+// parked and sleeping bodies' deferred calls, never start the late one, and
+// leave no goroutine behind, idle coroutines included.
 func TestRetireUnwindsLivingProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
@@ -317,16 +318,18 @@ func TestRetireUnwindsLivingProcesses(t *testing.T) {
 		defer func() { unwound = append(unwound, "sleeper") }()
 		p.Sleep(2 * Second)
 	})
+	e.Spawn("finished", func(p *Process) { p.Sleep(Millisecond) })
 	e.SpawnAt("late", 2*Second, func(p *Process) { unwound = append(unwound, "late ran") })
-	e.Spawn("killer", func(p *Process) {
-		p.Sleep(Second)
-		e.Stop()
-	})
-	if err := e.Run(); err != nil {
+	// RunUntil, unlike Run, keeps idle coroutines for a later call, so
+	// Retire is what has to stop the finished one.
+	if err := e.RunUntil(Second); err != nil {
 		t.Fatal(err)
 	}
 	if e.Living() != 3 {
 		t.Fatalf("%d living before Retire, want 3", e.Living())
+	}
+	if len(e.free) == 0 {
+		t.Fatal("no finished process idles on the free list")
 	}
 	e.Retire()
 	sort.Strings(unwound)
@@ -337,6 +340,114 @@ func TestRetireUnwindsLivingProcesses(t *testing.T) {
 		t.Fatalf("%d living after Retire", e.Living())
 	}
 	waitGoroutines(t, before)
+}
+
+// TestRunStopsIdleCoroutines checks that a run which finishes every process
+// leaves no coroutine behind once Run returns, although each finished
+// process's coroutine idled on the free list for reuse during the run; and
+// that the engine spawns and runs again afterwards on the same structs.
+func TestRunStopsIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	children := 0
+	driver := func(p *Process) {
+		for k := 0; k < 50; k++ {
+			e.Spawn("child", func(c *Process) {
+				c.Sleep(Microsecond)
+				children++
+			})
+			p.Sleep(2 * Microsecond)
+		}
+	}
+	e.Spawn("driver", driver)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+	e.Spawn("driver", driver)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if children != 100 {
+		t.Fatalf("%d children ran, want 100", children)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestProcessPanicReachesRunCaller checks that a panic inside a process body
+// propagates out of Run with its original value, where the caller can
+// recover it, and that Retire then cleans up the processes left behind.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	type fault struct{ at Time }
+	e := NewEngine()
+	b := NewBarrier(e, "never", 2)
+	e.Spawn("parked", func(p *Process) { b.Wait(p) })
+	e.Spawn("faulty", func(p *Process) {
+		p.Sleep(3 * Second)
+		panic(fault{at: p.Now()})
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if got != (fault{at: 3 * Second}) {
+		t.Fatalf("recovered %#v, want fault{at: 3s}", got)
+	}
+	e.Retire()
+	if e.Living() != 0 {
+		t.Fatalf("%d living after Retire", e.Living())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestContendedAcquireAllocatesNothing pins the Resource hand-off path: once
+// the wait queue's array has grown, a contended acquire and release —
+// enqueue, park, grant, wake — allocates nothing, and units still pass in
+// strict FIFO order.
+func TestContendedAcquireAllocatesNothing(t *testing.T) {
+	const procs = 8
+	e := NewEngine()
+	r := NewResource(e, "disk", 1)
+	grants, outOfOrder := 0, 0
+	for j := 0; j < procs; j++ {
+		j := j
+		e.Spawn(fmt.Sprintf("u%d", j), func(p *Process) {
+			for {
+				r.Acquire(p)
+				if grants%procs != j {
+					outOfOrder++
+				}
+				grants++
+				p.Sleep(Microsecond)
+				r.Release(p)
+			}
+		})
+	}
+	defer e.Retire()
+	const uses = 2000 // per run, one per simulated µs
+	limit := Time(0)
+	run := func() {
+		limit += uses * Microsecond
+		if err := e.RunUntil(limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the queue's array and the heap
+	// One measured call of several runs: AllocsPerRun divides the total by
+	// its run count in integers, which would round a rare regrowth to zero.
+	avg := testing.AllocsPerRun(1, func() {
+		for k := 0; k < 5; k++ {
+			run()
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("%.0f allocations over %d contended acquires, want 0", avg, 5*uses)
+	}
+	if outOfOrder != 0 || grants < 10*uses {
+		t.Fatalf("%d grants, %d out of FIFO order", grants, outOfOrder)
+	}
 }
 
 // waitGoroutines waits for exiting goroutines to finish and fails if the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,15 @@ func TestFabricByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("trace at workers=%d differs from serial reference", workers)
 		}
 	}
+}
+
+// TestFabricRunStopsIdleCoroutines checks that no coroutine outlives
+// Fabric.Run: every mail spawns a short-lived process whose coroutine is
+// reused across windows, and all of them stop when the run returns.
+func TestFabricRunStopsIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fabricWorkload(t, 4, 2, 77)
+	waitGoroutines(t, before)
 }
 
 // TestFabricHorizonBoundary guards the exclusive window edge: mail sent with

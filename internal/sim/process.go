@@ -1,55 +1,75 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Process is a single thread of simulated activity — in this reproduction, a
 // compute node's program, an I/O node server, or a background policy daemon.
-// A Process must only be used from its own goroutine (inside the fn passed to
-// Spawn); the lock-step scheduler guarantees no two processes ever run
+// A Process must only be used from its own body (inside the fn passed to
+// Spawn); the dispatch loop guarantees no two processes ever run
 // concurrently.
 //
-// The struct and its handoff channels outlive the process: when a process
-// finishes, the engine parks them on a free list and reissues them to a
-// later Spawn, so process churn costs one goroutine, not a goroutine plus
-// three heap objects.
+// The struct and its coroutine outlive the process: when a body finishes,
+// the coroutine idles on the engine's free list until a later Spawn hands it
+// the next body, so process churn within a run costs neither a goroutine nor
+// an allocation.
 type Process struct {
 	eng  *Engine
 	id   int
 	name string
 
-	resume chan struct{}
+	fn     func(p *Process)        // body not yet started by the coroutine
+	resume func() (struct{}, bool) // runs the coroutine until it yields; nil once halted
+	stop   func()                  // ends the coroutine, unwinding a parked body
+	yield  func(struct{}) bool     // returns control to the dispatch loop
 
 	procIdx     int // index in the engine's live-process list
 	done        bool
 	pendingWake bool
+	granted     bool   // woken by a Resource unit hand-off, not ejected by Break
 	blockedOn   string // diagnostic: what primitive the process is parked in
+	blockedTurn int    // diagnostic: the sequencer turn awaited, or -1
 }
 
-// top is the body of a process goroutine: wait to be started, run fn, and
-// terminate cleanly. A process first resumed by Engine.Retire never runs fn.
-func (p *Process) top(fn func(p *Process)) {
-	<-p.resume // wait for the scheduler to start us
+// errRetired unwinds a parked body whose coroutine Engine.Retire stopped.
+var errRetired = errors.New("sim: process retired")
+
+// loop is the coroutine: run the current body, retire it, then idle until a
+// later Spawn reissues the process with a new body or the engine stops the
+// coroutine.
+func (p *Process) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for p.runBody() {
+		p.eng.exit(p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runBody runs the process's body and reports whether it returned normally;
+// false means Retire unwound it. Any other panic propagates through the
+// dispatch loop to the caller of Run.
+func (p *Process) runBody() (finished bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			// A real fault: crash loudly rather than dispatching, so the
-			// runtime reports the panic with this goroutine's stack.
+		if r := recover(); r != nil && r != errRetired {
 			panic(r)
 		}
-		// Normal return, or runtime.Goexit (e.g. t.Fatal inside a process
-		// during tests): retire the process and hand control to whoever is
-		// due next so the simulation keeps running.
-		p.done = true
-		e := p.eng
-		e.living--
-		e.unregister(p)
-		e.recycle(p)
-		e.dispatch(e.advance())
 	}()
-	if !p.eng.retiring {
-		fn(p)
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return true
+}
+
+// halt stops the process's coroutine, if it has one.
+func (p *Process) halt() {
+	if p.stop != nil {
+		stop := p.stop
+		p.resume, p.stop = nil, nil
+		stop()
 	}
 }
 
@@ -65,25 +85,13 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now reports the current simulated time.
 func (p *Process) Now() Time { return p.eng.now }
 
-// block suspends the process until its next wake event pops. The blocking
-// process dispatches its successor itself: it runs the engine's advance loop
-// and resumes the next due process with a single direct channel handoff —
-// the engine goroutine stays asleep. When the next due event is the caller's
-// own wake-up, block returns without any handoff at all.
+// block suspends the process until its next wake event pops: it yields to
+// the dispatch loop, which resumes it when that event is due. A false yield
+// means Retire stopped the coroutine; the body unwinds from here.
 func (p *Process) block(why string) {
 	p.blockedOn = why
-	e := p.eng
-	next := e.advance()
-	if next == p {
-		// Our own wake-up is the next event; keep running in place.
-		p.blockedOn = ""
-		return
-	}
-	e.dispatch(next)
-	<-p.resume
-	if e.retiring {
-		// Engine.Retire: unwind through top's retire path.
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(errRetired)
 	}
 	p.blockedOn = ""
 }
@@ -95,9 +103,9 @@ func (p *Process) block(why string) {
 // Fast path: when this process's own wake-up is the head of the queue
 // (nothing else is due at or before it) and lies within the engine's run
 // horizon, the process pops its event, advances the clock, and keeps running
-// — no dispatch loop, no handoff. The popped event is exactly the one
-// advance would have popped, so scheduling order, tie-breaking, and the
-// clock are bit-identical to the general path.
+// — no yield to the dispatch loop. The popped event is exactly the one the
+// loop would have popped, so scheduling order, tie-breaking, and the clock
+// are bit-identical to the general path.
 func (p *Process) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %q", d, p.name))

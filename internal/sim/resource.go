@@ -27,9 +27,10 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Process
+	waiters  []*Process // FIFO queue: waiters[head:] are waiting
+	head     int
 	broken   bool
-	granted  map[*Process]bool // waiters woken by a direct unit hand-off
+	why      string // park reason, built once
 
 	// statistics
 	lastChange Time
@@ -45,7 +46,7 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d < 1", name, capacity))
 	}
-	return &Resource{eng: eng, name: name, capacity: capacity}
+	return &Resource{eng: eng, name: name, capacity: capacity, why: "resource:" + name}
 }
 
 // Name returns the resource name.
@@ -58,7 +59,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 func (r *Resource) account() {
 	now := r.eng.now
@@ -83,25 +84,37 @@ func (r *Resource) AcquireWait(p *Process) error {
 		return ErrBroken
 	}
 	r.acquires++
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.QueueLen() == 0 {
 		r.account()
 		r.inUse++
 		return nil
 	}
 	start := r.eng.now
-	r.waiters = append(r.waiters, p)
-	if len(r.waiters) > r.queuePeak {
-		r.queuePeak = len(r.waiters)
+	r.enqueue(p)
+	if q := r.QueueLen(); q > r.queuePeak {
+		r.queuePeak = q
 	}
-	p.Park("resource:" + r.name)
-	if r.granted[p] {
-		delete(r.granted, p)
-		r.waitTotal += r.eng.now - start
+	p.Park(r.why)
+	r.waitTotal += r.eng.now - start
+	if p.granted {
+		p.granted = false
 		return nil
 	}
 	// Woken without a unit hand-off: ejected by Break.
-	r.waitTotal += r.eng.now - start
 	return ErrBroken
+}
+
+// enqueue appends p to the wait queue. When the backing array is full, the
+// slots already dequeued from its front are reclaimed first, so a queue that
+// stays busy reuses one array instead of growing a new one.
+func (r *Resource) enqueue(p *Process) {
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters = r.waiters[:n]
+		r.head = 0
+	}
+	r.waiters = append(r.waiters, p)
 }
 
 // Release returns one unit. If processes are queued, the unit passes directly
@@ -111,13 +124,14 @@ func (r *Resource) Release(p *Process) {
 	if r.inUse <= 0 {
 		panic(fmt.Sprintf("sim: release of idle resource %q", r.name))
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if r.granted == nil {
-			r.granted = make(map[*Process]bool)
+	if r.QueueLen() > 0 {
+		next := r.waiters[r.head]
+		r.waiters[r.head] = nil
+		r.head++
+		if r.head == len(r.waiters) {
+			r.waiters, r.head = r.waiters[:0], 0
 		}
-		r.granted[next] = true
+		next.granted = true
 		p.Wake(next) // unit transfers; inUse unchanged
 		return
 	}
@@ -135,9 +149,9 @@ func (r *Resource) Break(p *Process) {
 	}
 	r.broken = true
 	r.breaks++
-	ejected := r.waiters
-	r.waiters = nil
-	p.eng.scheduleBatch(ejected, p.eng.now)
+	p.eng.scheduleBatch(r.waiters[r.head:], p.eng.now)
+	clear(r.waiters)
+	r.waiters, r.head = r.waiters[:0], 0
 }
 
 // Repair restores a broken resource to service.

@@ -13,6 +13,7 @@ type Barrier struct {
 	n       int
 	arrived []*Process
 	rounds  int64
+	why     string // park reason, built once
 }
 
 // NewBarrier creates a barrier for groups of n processes (n >= 1).
@@ -20,7 +21,7 @@ func NewBarrier(eng *Engine, name string, n int) *Barrier {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: barrier %q size %d < 1", name, n))
 	}
-	return &Barrier{eng: eng, name: name, n: n}
+	return &Barrier{eng: eng, name: name, n: n, why: "barrier:" + name}
 }
 
 // Wait blocks p until the barrier's group is complete.
@@ -32,14 +33,14 @@ func (b *Barrier) Wait(p *Process) {
 	if len(b.arrived) == b.n-1 {
 		// Last arrival releases everyone, in arrival order, as one batched
 		// heap insertion.
-		waiting := b.arrived
-		b.arrived = nil
 		b.rounds++
-		p.eng.scheduleBatch(waiting, p.eng.now)
+		p.eng.scheduleBatch(b.arrived, p.eng.now)
+		clear(b.arrived)
+		b.arrived = b.arrived[:0]
 		return
 	}
 	b.arrived = append(b.arrived, p)
-	p.Park("barrier:" + b.name)
+	p.Park(b.why)
 }
 
 // Rounds reports how many times the barrier has completed.
@@ -54,11 +55,12 @@ type Sequencer struct {
 	name    string
 	next    int
 	waiting map[int]*Process
+	why     string // park reason, built once; the turn is added on deadlock
 }
 
 // NewSequencer creates a sequencer whose first turn is 0.
 func NewSequencer(eng *Engine, name string) *Sequencer {
-	return &Sequencer{eng: eng, name: name, waiting: make(map[int]*Process)}
+	return &Sequencer{eng: eng, name: name, waiting: make(map[int]*Process), why: "sequencer:" + name}
 }
 
 // WaitTurn blocks p until turn becomes current. Turns must be used exactly
@@ -72,7 +74,9 @@ func (s *Sequencer) WaitTurn(p *Process, turn int) {
 		panic(fmt.Sprintf("sim: sequencer %q turn %d claimed twice", s.name, turn))
 	}
 	s.waiting[turn] = p
-	p.Park(fmt.Sprintf("sequencer:%s[%d]", s.name, turn))
+	p.blockedTurn = turn
+	p.Park(s.why)
+	p.blockedTurn = -1
 }
 
 // Done completes the current turn and wakes the owner of the next one, if it
@@ -97,11 +101,12 @@ type Completion struct {
 	done    bool
 	at      Time
 	waiters []*Process
+	why     string // park reason, built once
 }
 
 // NewCompletion creates a pending completion.
 func NewCompletion(name string) *Completion {
-	return &Completion{name: name}
+	return &Completion{name: name, why: "completion:" + name}
 }
 
 // Done reports whether Complete has been called.
@@ -129,6 +134,6 @@ func (c *Completion) Await(p *Process) Time {
 	}
 	start := p.Now()
 	c.waiters = append(c.waiters, p)
-	p.Park("completion:" + c.name)
+	p.Park(c.why)
 	return p.Now() - start
 }
