@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/analysis"
+	"repro/internal/ckpt"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -117,40 +118,32 @@ func run(args []string, out io.Writer) error {
 	}
 	defer c.prof.Stop()
 
-	// iochar runs a single attempt of the scenario (no restart loop; use
-	// 'stress scenario run' for the resilience semantics).
-	sc := c.sc
-	rs, fleet, err := sc.Build()
+	// iochar characterizes a single attempt per machine, without
+	// checkpointing (use 'stress scenario run' for the resilience
+	// semantics).
+	c.sc.Shards = c.shards.Count()
+	plan, fleet, err := c.sc.Build()
 	if err != nil {
 		return err
 	}
-	study := rs.Study
-	app := sc.Workload.App
-	if study.Burst.Enabled {
+	plan.Ckpt, plan.MaxAttempts = ckpt.Config{}, 1
+	if plan.Burst.Enabled {
 		// iochar runs without checkpointing, so route the application's
 		// bulk output files through the log by name prefix — otherwise the
 		// tier would sit idle (no application in the suite uses M_LOG).
-		study.Burst.Prefixes = append(core.OutputPrefixes(core.AppID(app)), study.Burst.Prefixes...)
+		plan.Burst.Prefixes = append(core.OutputPrefixes(plan.App), plan.Burst.Prefixes...)
 	}
-	if fl := scenario.RenderFleet(fleet); fl != "" {
-		fmt.Fprint(out, fl)
-	}
-	var report *core.Report
-	if fo, isFleet := sc.FleetOptions(c.shards.Count()); isFleet {
-		// Multi-cell scenario: run the fleet on the sharded engine and
-		// characterize the representative cell (cell 0 keeps the study's
-		// own fault timeline).
-		fr, err := core.RunFleet(study, fo)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, scenario.RenderFleetRun(fr))
-		report = fr.Cells[0]
-	} else if report, err = core.Run(study); err != nil {
+	fmt.Fprint(out, scenario.RenderFleet(fleet))
+	// A fleet is characterized by its representative cell: cell 0 keeps the
+	// study's own fault timeline.
+	rr, fr, err := core.Execute(plan)
+	if err != nil {
 		return err
 	}
+	fmt.Fprint(out, scenario.RenderFleetRun(fr))
+	report := rr.Final
 
-	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", app, report.Wall.Seconds(), len(report.Events))
+	fmt.Fprintf(out, "%s: wall clock %.2f s, %d I/O events\n\n", plan.App, report.Wall.Seconds(), len(report.Events))
 	for _, table := range report.Tables() {
 		fmt.Fprintln(out, table)
 	}

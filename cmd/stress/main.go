@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	}
 	defer c.prof.Stop()
 
-	rs, _, err := c.sc.Build()
+	plan, _, err := c.sc.Build()
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		pts, err := core.TradeoffSweep(rs, intervals)
+		pts, err := core.TradeoffSweep(plan, intervals)
 		if err != nil {
 			return err
 		}
@@ -75,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	rr, err := core.RunResilient(rs)
+	rr, _, err := core.Execute(plan)
 	if err != nil {
 		return err
 	}

@@ -128,12 +128,8 @@ func scenarioRun(args []string, out io.Writer) error {
 			return err
 		}
 		printResilientReport(out, res.Report)
-		if res.FleetRun != nil {
-			fmt.Fprint(out, scenario.RenderFleetRun(res.FleetRun))
-		}
-		if fl := scenario.RenderFleet(res.Fleet); fl != "" {
-			fmt.Fprint(out, fl)
-		}
+		fmt.Fprint(out, scenario.RenderFleetRun(res.FleetRun))
+		fmt.Fprint(out, scenario.RenderFleet(res.Fleet))
 		fmt.Fprint(out, scenario.RenderChecks(sc.Name, res.M, res.Checks))
 		if !res.Pass() {
 			failed++

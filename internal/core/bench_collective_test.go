@@ -19,17 +19,17 @@ func benchCollectiveMode(b *testing.B, mode iotrace.AccessMode, pcfg pfs.Config)
 	b.ReportAllocs()
 	var last *Report
 	for i := 0; i < b.N; i++ {
-		r, err := modeCell{scfg: workload.SyntheticConfig{
+		rr, _, err := Execute(modeCell{scfg: workload.SyntheticConfig{
 			Nodes:       8,
 			Mode:        mode,
 			RecordBytes: 4096,
 			Records:     32,
 			Barrier:     true,
-		}}.runOn(pcfg)
+		}}.plan(pcfg))
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = r
+		last = rr.Final
 	}
 	b.ReportMetric(last.Wall.Seconds(), "sim-wall-s")
 	b.ReportMetric(float64(last.PhysRequests), "phys-requests")

@@ -32,27 +32,26 @@ func OutputPrefixes(app AppID) []string {
 func BurstSweep(small bool, ck ckpt.Config, bcfg burst.Config) ([]analysis.BurstComparison, error) {
 	bcfg.Enabled = true
 	apps := Apps()
-	pairs, err := runPairs("burst sweep", [2]string{"direct", "burst"}, apps, func(app AppID, side int) (*ResilientReport, error) {
-		study := sweepStudy(app, small)
+	out, err := runSweep("burst sweep", pairCells(apps, [2]string{"direct", "burst"}, func(app AppID, side int) Plan {
+		p := job(sweepStudy(app, small))
 		if side == 1 {
-			study.Burst = bcfg
+			p.Burst = bcfg
 			if app == RENDER {
-				study.Burst.Prefixes = append(OutputPrefixes(RENDER), bcfg.Prefixes...)
+				p.Burst.Prefixes = append(OutputPrefixes(RENDER), bcfg.Prefixes...)
 			}
 		}
-		rs := ResilientStudy{Study: study, Ckpt: ck, MaxAttempts: 1}
-		if app == RENDER {
+		if app != RENDER {
 			// RENDER has no work-unit loop to checkpoint.
-			rs.Ckpt.Interval = 0
+			p.Ckpt = ck
 		}
-		return RunResilient(rs)
-	})
+		return p
+	}), nil, func(_ int, rr *ResilientReport) *ResilientReport { return rr })
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.BurstComparison, 0, len(apps))
 	for i, app := range apps {
-		direct, withTier := pairs[i][0], pairs[i][1]
+		direct, withTier := out[2*i], out[2*i+1]
 		rows = append(rows, analysis.BurstComparison{
 			Name:        string(app),
 			DirectWall:  direct.Wall,

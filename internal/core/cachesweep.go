@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/cache"
-	"repro/internal/exec"
 	"repro/internal/iotrace"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -48,46 +45,6 @@ func compare(name, op string, base, cached *Report, labels ...string) analysis.C
 	return row
 }
 
-// sweepStudy returns the study an app-by-app sweep runs: the paper-scale
-// run, or the reduced one when small.
-func sweepStudy(app AppID, small bool) Study {
-	if small {
-		return SmallStudy(app)
-	}
-	return PaperStudy(app)
-}
-
-// runPairs runs every cell twice — side 0 the baseline, side 1 the
-// alternative — as one job each on the executor ([cell0 base, cell0 alt,
-// cell1 base, ...], so every simulation fans out) and returns the results
-// paired by cell. A failed run's error names the sweep, the cell and the
-// side's label from sides: "<sweep>: <cell> <side>: <err>".
-func runPairs[C, R any](sweep string, sides [2]string, cells []C, run func(c C, side int) (R, error)) ([][2]R, error) {
-	type job struct {
-		cell C
-		side int
-	}
-	jobs := make([]job, 0, 2*len(cells))
-	for _, c := range cells {
-		jobs = append(jobs, job{c, 0}, job{c, 1})
-	}
-	out, err := exec.Map(jobs, func(_ int, j job) (R, error) {
-		r, err := run(j.cell, j.side)
-		if err != nil {
-			return r, fmt.Errorf("%s: %v %s: %w", sweep, j.cell, sides[j.side], err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([][2]R, len(cells))
-	for i := range pairs {
-		pairs[i] = [2]R{out[2*i], out[2*i+1]}
-	}
-	return pairs, nil
-}
-
 // CacheSweep runs each of the paper's three applications twice — cache
 // disabled, then enabled with ccfg — and reports the mean read-latency
 // change. It is the §8 what-if quantified: ESCAT's small sequential reads
@@ -96,19 +53,19 @@ func runPairs[C, R any](sweep string, sides [2]string, cells []C, run func(c C, 
 func CacheSweep(small bool, ccfg cache.Config) ([]analysis.CacheComparison, error) {
 	ccfg.Enabled = true
 	apps := Apps()
-	pairs, err := runPairs("cache sweep", [2]string{"base", "cached"}, apps, func(app AppID, side int) (*Report, error) {
+	out, err := runSweep("cache sweep", pairCells(apps, [2]string{"base", "cached"}, func(app AppID, side int) Plan {
 		study := sweepStudy(app, small)
 		if side == 1 {
 			study.Machine.PFS.Cache = ccfg
 		}
-		return Run(study)
-	})
+		return job(study)
+	}), nil, final)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CacheComparison, 0, len(apps))
 	for i, app := range apps {
-		rows = append(rows, compare(string(app), "Read", pairs[i][0], pairs[i][1], "Read", "AsynchRead"))
+		rows = append(rows, compare(string(app), "Read", out[2*i], out[2*i+1], "Read", "AsynchRead"))
 	}
 	return rows, nil
 }
@@ -124,18 +81,22 @@ type modeCell struct {
 
 func (c modeCell) String() string { return c.name }
 
-// runOn runs the cell's synthetic workload once, on a fresh machine with the
-// PFS configuration pcfg, through the same attempt path as Run.
-func (c modeCell) runOn(pcfg pfs.Config) (*Report, error) {
-	app, err := workload.NewSynthetic(c.scfg)
-	if err != nil {
-		return nil, err
-	}
-	return run(Study{
-		App:       AppID(app.Name()),
-		Machine:   workload.MachineConfig{ComputeNodes: c.scfg.Nodes, PFS: pcfg},
+// plan is the job that runs the cell's synthetic workload on a fresh machine
+// with the PFS configuration pcfg.
+func (c modeCell) plan(pcfg pfs.Config) Plan {
+	scfg := c.scfg
+	return job(Study{
+		App:       "synthetic",
+		Machine:   workload.MachineConfig{ComputeNodes: scfg.Nodes, PFS: pcfg},
 		KeepTrace: true,
-	}, app)
+		synth:     &scfg,
+	})
+}
+
+// modePlans lists a mode sweep's [base, alt] jobs: each cell on the PFS
+// configurations cfgs.
+func modePlans(cells []modeCell, sides [2]string, cfgs [2]pfs.Config) []sweepCell {
+	return pairCells(cells, sides, func(c modeCell, side int) Plan { return c.plan(cfgs[side]) })
 }
 
 // modeCells builds the six per-mode synthetic workloads shared by the cache
@@ -198,16 +159,13 @@ func ModeCacheSweep(ccfg cache.Config) ([]analysis.CacheComparison, error) {
 		},
 	})
 
-	cfgs := [2]pfs.Config{base, cachedCfg}
-	pairs, err := runPairs("mode sweep", [2]string{"base", "cached"}, cells, func(c modeCell, side int) (*Report, error) {
-		return c.runOn(cfgs[side])
-	})
+	out, err := runSweep("mode sweep", modePlans(cells, [2]string{"base", "cached"}, [2]pfs.Config{base, cachedCfg}), nil, final)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CacheComparison, 0, len(cells))
 	for i, cell := range cells {
-		rows = append(rows, compare(cell.name, cell.op, pairs[i][0], pairs[i][1], cell.labels...))
+		rows = append(rows, compare(cell.name, cell.op, out[2*i], out[2*i+1], cell.labels...))
 	}
 	return rows, nil
 }

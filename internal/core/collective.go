@@ -32,20 +32,20 @@ func collCompare(name string, sched ionode.SchedConfig, base, coll *Report) anal
 func CollectiveSweep(small bool, ccfg collective.Config, sched ionode.SchedConfig) ([]analysis.CollectiveComparison, error) {
 	ccfg.Enabled = true
 	apps := Apps()
-	pairs, err := runPairs("collective sweep", [2]string{"base", "collective"}, apps, func(app AppID, side int) (*Report, error) {
+	out, err := runSweep("collective sweep", pairCells(apps, [2]string{"base", "collective"}, func(app AppID, side int) Plan {
 		study := sweepStudy(app, small)
 		if side == 1 {
 			study.Machine.PFS.Collective = ccfg
 			study.Machine.PFS.Sched = sched
 		}
-		return Run(study)
-	})
+		return job(study)
+	}), nil, final)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CollectiveComparison, 0, len(apps))
 	for i, app := range apps {
-		rows = append(rows, collCompare(string(app), sched, pairs[i][0], pairs[i][1]))
+		rows = append(rows, collCompare(string(app), sched, out[2*i], out[2*i+1]))
 	}
 	return rows, nil
 }
@@ -69,16 +69,13 @@ func ModeCollectiveSweep(ccfg collective.Config, sched ionode.SchedConfig) ([]an
 		// the PFS configuration.
 		cells[i].scfg.Barrier = true
 	}
-	cfgs := [2]pfs.Config{base, collCfg}
-	pairs, err := runPairs("collective mode sweep", [2]string{"base", "collective"}, cells, func(c modeCell, side int) (*Report, error) {
-		return c.runOn(cfgs[side])
-	})
+	out, err := runSweep("collective mode sweep", modePlans(cells, [2]string{"base", "collective"}, [2]pfs.Config{base, collCfg}), nil, final)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.CollectiveComparison, 0, len(cells))
 	for i, cell := range cells {
-		rows = append(rows, collCompare(cell.name, sched, pairs[i][0], pairs[i][1]))
+		rows = append(rows, collCompare(cell.name, sched, out[2*i], out[2*i+1]))
 	}
 	return rows, nil
 }

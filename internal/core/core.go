@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
@@ -75,6 +74,10 @@ type Study struct {
 	ESCATConfig  *escat.Config
 	RENDERConfig *render.Config
 	HTFConfig    *htf.Config
+
+	// synth, when set, runs this synthetic workload in place of App's
+	// application (the mode sweeps' cells).
+	synth *workload.SyntheticConfig
 }
 
 // PaperStudy returns the study reproducing the paper's traced run of app.
@@ -174,12 +177,11 @@ type Report struct {
 	PhysRequests int64
 }
 
-// appErr lets Run surface failures collected inside node programs.
-type appErr interface{ Err() error }
-
-// runtime bundles everything one simulation attempt needs: the machine, the
-// instrumented file system stack, and the application.
+// runtime bundles everything one machine of a simulation attempt needs: the
+// prepared study, the machine, the instrumented file system stack, the
+// application, and the attempt's fault injector and launch.
 type runtime struct {
+	s          Study
 	m          *workload.Machine
 	fs         workload.FS
 	tracer     *pablo.Tracer
@@ -189,14 +191,17 @@ type runtime struct {
 	layer      *ppfs.FileSystem
 	burst      *burst.Tier
 	app        workload.App
+
+	inj    *fault.Injector // nil without discrete fault events
+	shard  *sim.Shard      // a fleet cell's shard; nil on an engine of its own
+	start  sim.Time        // launch instant on the machine's clock
+	runErr error           // launch or engine failure
 }
 
 // prepare builds a fresh runtime for one attempt of the study on eng (a
 // fleet cell's shard engine), or on a fresh engine of its own when eng is
-// nil. It merges the paper defaults into a study without a machine shape,
-// and returns the study it prepared. app, when non-nil, is the workload to
-// run; nil builds the study's own application.
-func prepare(s Study, eng *sim.Engine, app workload.App) (Study, *runtime, error) {
+// nil. It merges the paper defaults into a study without a machine shape.
+func prepare(s Study, eng *sim.Engine) (*runtime, error) {
 	if s.Machine.ComputeNodes == 0 {
 		s = mergeDefaults(s)
 	}
@@ -208,21 +213,21 @@ func prepare(s Study, eng *sim.Engine, app workload.App) (Study, *runtime, error
 	}
 	m, err := workload.NewMachineOn(eng, s.Machine)
 	if err != nil {
-		return s, nil, err
+		return nil, err
 	}
-	rt := &runtime{m: m}
-	if err := rt.stack(s, app); err != nil {
-		rt.retire()
-		return s, nil, err
+	rt := &runtime{s: s, m: m}
+	if err := rt.stack(); err != nil {
+		eng.Retire()
+		return nil, err
 	}
-	return s, rt, nil
+	return rt, nil
 }
 
 // stack builds the instrumented file-system stack and the application above
 // the runtime's machine: tracers and reducers, the optional PPFS or burst
-// layer, and app (the study's own application when nil).
-func (rt *runtime) stack(s Study, app workload.App) error {
-	m := rt.m
+// layer, and the study's application.
+func (rt *runtime) stack() error {
+	s, m := rt.s, rt.m
 	var err error
 	rt.tracer = pablo.NewTracer(s.KeepTrace)
 	rt.lifetime = pablo.NewLifetimeReducer()
@@ -244,9 +249,6 @@ func (rt *runtime) stack(s Study, app workload.App) error {
 		rt.fs = workload.WrapPFS(m.PFS)
 	}
 	if s.Burst.Enabled {
-		if s.Policy != nil {
-			return fmt.Errorf("core: the burst tier and a PPFS policy layer are mutually exclusive")
-		}
 		rt.burst, err = burst.New(m.Eng, m.PFS, m.Nodes, s.Burst)
 		if err != nil {
 			return err
@@ -254,11 +256,8 @@ func (rt *runtime) stack(s Study, app workload.App) error {
 		rt.fs = rt.burst
 	}
 
-	rt.app = app
-	if app == nil {
-		if rt.app, err = buildApp(s); err != nil {
-			return err
-		}
+	if rt.app, err = buildApp(s); err != nil {
+		return err
 	}
 	// Size the capture buffers once, before the first event, so the
 	// per-event capture path never copies the trace to grow it.
@@ -271,11 +270,6 @@ func (rt *runtime) stack(s Study, app workload.App) error {
 	return nil
 }
 
-// retire unwinds whatever the attempt left parked on the machine's engine
-// (see sim.Engine.Retire). Every run path calls it once the attempt is over —
-// finished, failed or abandoned — so no attempt outlives its report.
-func (rt *runtime) retire() { rt.m.Eng.Retire() }
-
 // faultEvents materializes the study's discrete fault schedule; nil for a
 // plan without one.
 func faultEvents(s Study) []fault.Event {
@@ -287,16 +281,16 @@ func faultEvents(s Study) []fault.Event {
 
 // inject arms the study's fault plan against the runtime's machine: discrete
 // events via the injector, corruption via the checksum stores' write-path
-// policies and bit-rot drivers. It returns a nil injector when no discrete
+// policies and bit-rot drivers. It leaves the injector nil when no discrete
 // events are scheduled (no injector processes are spawned, so the healthy
 // path is untouched; corruption may still be armed).
-func (rt *runtime) inject(s Study, events []fault.Event) *fault.Injector {
-	fs := rt.m.PFS
+func (rt *runtime) inject(events []fault.Event) {
+	s, fs := rt.s, rt.m.PFS
 	if !s.Faults.Corruption.Empty() {
 		fault.ArmCorruption(rt.m.Eng, fs.IONodes(), s.Faults.Corruption, s.FaultSeed)
 	}
 	if len(events) == 0 {
-		return nil
+		return
 	}
 	hooks := fault.NodeLossHooks{Nodes: rt.m.Nodes, Halt: rt.m.Eng.Stop}
 	if rt.burst != nil {
@@ -306,21 +300,21 @@ func (rt *runtime) inject(s Study, events []fault.Event) *fault.Injector {
 		hooks.OnOutageStart = fs.NoteOutageStart
 		hooks.OnOutageEnd = fs.NoteOutageEnd
 	}
-	return fault.Inject(rt.m.Eng, fs.IONodes(), events, hooks)
+	rt.inj = fault.Inject(rt.m.Eng, fs.IONodes(), events, hooks)
 }
 
 // clockPadded reports whether background processes (bit-rot drivers, the
 // scrubber, collective straggler timers) keep the engine clock running past
 // the application's finish, so the run's wall clock must come from the trace.
-func (rt *runtime) clockPadded(s Study) bool {
-	return !s.Faults.Corruption.Empty() || rt.m.PFS.ScrubWindowEnd() > 0 ||
+func (rt *runtime) clockPadded() bool {
+	return !rt.s.Faults.Corruption.Empty() || rt.m.PFS.ScrubWindowEnd() > 0 ||
 		rt.m.PFS.CollectiveEnabled() || rt.m.PFS.RepairEnabled() || rt.burst != nil
 }
 
 // report assembles the study's report after a completed run.
-func (rt *runtime) report(s Study) *Report {
+func (rt *runtime) report() *Report {
 	r := &Report{
-		App:      s.App,
+		App:      rt.s.App,
 		Wall:     rt.m.Eng.Now(),
 		Events:   rt.tracer.Events(),
 		Summary:  analysis.Summarize(rt.tracer.Events()),
@@ -350,7 +344,7 @@ func (rt *runtime) report(s Study) *Report {
 	}
 	r.Sched = rt.m.PFS.SchedStats()
 	r.PhysRequests = rt.m.PFS.PhysRequests()
-	if !s.Faults.Corruption.Empty() {
+	if !rt.s.Faults.Corruption.Empty() {
 		// End-of-run audit: sweep every tracked block so latent corruption
 		// is detected (and, where parity allows, repaired) before the report
 		// tallies coverage. Accounting only — no simulated time.
@@ -361,112 +355,44 @@ func (rt *runtime) report(s Study) *Report {
 	return r
 }
 
-// Run executes the study to completion. With a fault plan configured the run
-// is a single attempt: an injected fault the application cannot absorb (via
-// PFS failover) surfaces as an error, exactly like the real machine's job
-// kill. Use RunResilient for checkpoint/restart semantics.
+// Run executes the study to completion as a single attempt: an injected
+// fault the application cannot absorb (via PFS failover) surfaces as an
+// error, exactly like the real machine's job kill. Use RunResilient for
+// checkpoint/restart semantics.
 func Run(s Study) (*Report, error) {
-	r, err := run(s, nil)
+	rr, _, err := Execute(job(s))
 	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return rr.Final, nil
 }
 
-// run is Run with an optional workload in place of the study's own
-// application (the mode sweeps pass a synthetic one). A job killed by a
-// fault still returns a report beside jobErr's error: the tables and
-// integrity tallies of the machine as the failure left it, without
-// finishReport's wall-clock and incident corrections.
-func run(s Study, app workload.App) (*Report, error) {
-	s, rt, err := prepare(s, nil, app)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.retire()
-	inj := rt.inject(s, faultEvents(s))
-	runErr := workload.Run(rt.m, rt.fs, rt.app)
-	if err := jobErr(s, rt, inj); err != nil {
-		return rt.report(s), err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return finishReport(s, rt, inj), nil
-}
-
-// attemptFailure reads the failures a completed engine run can hide: the
-// node-program error collected inside the application, and the compute-node
-// loss that halted the engine. Every run shape checks its attempts here.
-func attemptFailure(rt *runtime, inj *fault.Injector) (nodeErr error, loss *fault.NodeLossEvent) {
-	if ae, ok := rt.app.(appErr); ok {
-		nodeErr = ae.Err()
-	}
-	if inj != nil {
-		if nl, ok := inj.FirstNodeLoss(); ok {
-			loss = &nl
-		}
-	}
-	return nodeErr, loss
-}
-
-// jobErr is the error a single-attempt run (Run or a fleet cell)
-// returns for a dead attempt: the job was killed, like the real machine
-// would. nil when the attempt survived.
-func jobErr(s Study, rt *runtime, inj *fault.Injector) error {
-	nodeErr, loss := attemptFailure(rt, inj)
-	if nodeErr != nil {
-		// Node-program failures are the root cause; a deadlock from the
-		// abandoned barrier group is their symptom.
-		return fmt.Errorf("%s: %w", s.App, nodeErr)
-	}
-	if loss != nil {
-		return fmt.Errorf("%s: compute node %d lost at %v (%d undrained burst-log bytes)",
-			s.App, loss.Node, loss.At, loss.UndrainedBytes)
-	}
-	return nil
-}
-
-// finishReport assembles a successful attempt's report: the trace-derived
-// tables, the wall-clock correction for runs whose background daemons
-// outlive the application, and the realized incident timeline.
-func finishReport(s Study, rt *runtime, inj *fault.Injector) *Report {
-	r := rt.report(s)
-	if inj != nil || rt.clockPadded(s) {
+// finish assembles a successful attempt's report: the trace-derived tables,
+// the wall-clock correction for runs whose background daemons outlive the
+// application, and the realized incident timeline.
+func (rt *runtime) finish(restarts bool) *Report {
+	r := rt.report()
+	if end := lastEventEnd(r.Events); end > 0 && (restarts || rt.inj != nil || rt.clockPadded()) {
 		// Injector drivers (a background rebuild, a not-yet-due storm) and
 		// integrity daemons (scrubber, bit-rot arrivals) can outlive the
 		// application; the run's wall clock is the application's own finish.
-		// Without a kept trace the engine clock stands in.
-		if end := lastEventEnd(r.Events); end > 0 {
-			r.Wall = end
-		}
+		// Without a kept trace the engine clock stands in. A plan that may
+		// restart always measures its attempts from the trace.
+		r.Wall = end
 	}
-	if inj != nil {
-		inj.CloseOpen(rt.m.Eng.Now())
-		incs := inj.Incidents()
-		if end := lastEventEnd(r.Events); end > 0 {
-			// The incident timeline ends with the application too: faults
-			// realized after its last operation affected nothing.
-			incs = capIncidents(incs, end)
-		}
-		r.Incidents = incs
+	if rt.inj != nil {
+		// The incident timeline ends with the application too: faults
+		// realized after its last operation affected nothing.
+		r.Incidents = capIncidents(rt.inj, r.Wall)
 	}
 	if r.Integrity != nil && len(r.Integrity.Events) > 0 {
 		// Corruption incidents are not capped at the application's finish:
 		// the scrubber legitimately detects and repairs latent errors after
 		// the last application operation, and the report should say so.
-		r.Incidents = mergeIncidents(r.Incidents, fault.CorruptionIncidents(r.Integrity.Events))
+		r.Incidents = slices.Concat(r.Incidents, fault.CorruptionIncidents(r.Integrity.Events))
+		sortIncidents(r.Incidents)
 	}
 	return r
-}
-
-// mergeIncidents interleaves two incident timelines by start time.
-func mergeIncidents(a, b []fault.Incident) []fault.Incident {
-	out := make([]fault.Incident, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }
 
 func mergeDefaults(s Study) Study {
@@ -482,6 +408,9 @@ func mergeDefaults(s Study) Study {
 }
 
 func buildApp(s Study) (workload.App, error) {
+	if s.synth != nil {
+		return workload.NewSynthetic(*s.synth)
+	}
 	switch s.App {
 	case ESCAT:
 		cfg := escat.DefaultConfig()

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/integrity"
 	"repro/internal/pfs"
@@ -36,47 +34,43 @@ func sweepCorruptionPlan(class integrity.Class) fault.CorruptionPlan {
 // Failed. The sweep is deterministic: same seed, same rows.
 func CorruptionSweep(small bool, seed uint64) ([]analysis.CorruptionSweepRow, error) {
 	classes := []integrity.Class{integrity.BitRot, integrity.TornWrite, integrity.Misdirected}
-	type cell struct {
-		app   AppID
-		class integrity.Class
-	}
-	var cells []cell
+	var cells []sweepCell
 	for _, app := range Apps() {
 		for _, class := range classes {
-			cells = append(cells, cell{app, class})
+			study := sweepStudy(app, small)
+			study.Machine.PFS.Integrity = integrity.Config{
+				Enabled: true,
+				Scrub: integrity.ScrubConfig{
+					Enabled:       true,
+					RateBytesPerS: 16 << 20,
+					Window:        60 * sim.Second,
+				},
+			}
+			// Unrepairable classes (torn, misdirected) need the replica path
+			// and the client's corrupt-read retries to survive the run.
+			fo := pfs.DefaultFailoverConfig()
+			fo.Replicate = true
+			study.Machine.PFS.Failover = fo
+			study.Machine.PFS.Reliability = pfs.DefaultReliabilityConfig()
+			study.Faults.Corruption = sweepCorruptionPlan(class)
+			study.FaultSeed = seed
+			cells = append(cells, sweepCell{fmt.Sprintf("%s/%s", app, class), job(study)})
 		}
 	}
-	return exec.Map(cells, func(_ int, c cell) (analysis.CorruptionSweepRow, error) {
-		study := sweepStudy(c.app, small)
-		study.Machine.PFS.Integrity = integrity.Config{
-			Enabled: true,
-			Scrub: integrity.ScrubConfig{
-				Enabled:       true,
-				RateBytesPerS: 16 << 20,
-				Window:        60 * sim.Second,
-			},
+	// A cell whose application an unrepairable block kills is a row too:
+	// the block is detected and never resolved, so the tally counts it as
+	// unrepairable, and the row records that the run failed.
+	return runSweep("corruption sweep", cells, integrity.ErrCorrupt, func(i int, rr *ResilientReport) analysis.CorruptionSweepRow {
+		class, r := classes[i%len(classes)], rr.Final
+		row := analysis.CorruptionSweepRow{App: string(Apps()[i/len(classes)]), Class: class, Failed: r == nil}
+		if r == nil {
+			r = rr.killed
 		}
-		// Unrepairable classes (torn, misdirected) need the replica path
-		// and the client's corrupt-read retries to survive the run.
-		fo := pfs.DefaultFailoverConfig()
-		fo.Replicate = true
-		study.Machine.PFS.Failover = fo
-		study.Machine.PFS.Reliability = pfs.DefaultReliabilityConfig()
-		study.Faults.Corruption = sweepCorruptionPlan(c.class)
-		study.FaultSeed = seed
-		// A cell whose application an unrepairable block kills is a row too:
-		// the block is detected and never resolved, so the tally counts it
-		// as unrepairable, and the row records that the run failed.
-		r, err := run(study, nil)
-		if err != nil && !errors.Is(err, integrity.ErrCorrupt) {
-			return analysis.CorruptionSweepRow{}, fmt.Errorf("corruption sweep: %s/%s: %w", c.app, c.class, err)
+		if r.Integrity == nil {
+			return row
 		}
-		row := analysis.CorruptionSweepRow{App: string(c.app), Class: c.class, Failed: err != nil}
-		if r.Integrity != nil {
-			for _, cc := range r.Integrity.ByClass() {
-				if cc.Class != c.class {
-					continue
-				}
+		for _, cc := range r.Integrity.ByClass() {
+			if cc.Class == class {
 				row.Injected = cc.Injected
 				row.Detected = cc.Detected
 				row.Repaired = cc.Repaired + cc.Rewritten
@@ -84,7 +78,7 @@ func CorruptionSweep(small bool, seed uint64) ([]analysis.CorruptionSweepRow, er
 				row.Latent = cc.Latent
 			}
 		}
-		return row, nil
+		return row
 	})
 }
 
@@ -99,16 +93,13 @@ func ModeIntegritySweep(icfg integrity.Config) ([]analysis.IntegrityOverheadRow,
 	verCfg.Integrity = icfg
 
 	cells := modeCells()
-	cfgs := [2]pfs.Config{base, verCfg}
-	pairs, err := runPairs("integrity sweep", [2]string{"base", "verified"}, cells, func(c modeCell, side int) (*Report, error) {
-		return c.runOn(cfgs[side])
-	})
+	out, err := runSweep("integrity sweep", modePlans(cells, [2]string{"base", "verified"}, [2]pfs.Config{base, verCfg}), nil, final)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]analysis.IntegrityOverheadRow, 0, len(cells))
 	for i, cell := range cells {
-		b, v := pairs[i][0], pairs[i][1]
+		b, v := out[2*i], out[2*i+1]
 		bm, n := meanFor(b.Summary, cell.labels...)
 		vm, _ := meanFor(v.Summary, cell.labels...)
 		rows = append(rows, analysis.IntegrityOverheadRow{

@@ -55,7 +55,7 @@ func replicatedStudy(app AppID, rf int) Study {
 func appImageAtRF(t *testing.T, app AppID, rf int) string {
 	t.Helper()
 	study := replicatedStudy(app, rf)
-	_, rt, err := prepare(study, nil, nil)
+	rt, err := prepare(study, nil)
 	if err != nil {
 		t.Fatalf("%s rf=%d: %v", app, rf, err)
 	}
@@ -176,11 +176,11 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 	}
 
 	run := func(study Study) (*Report, string) {
-		s, rt, err := prepare(study, nil, nil)
+		rt, err := prepare(study, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.inject(s, faultEvents(s))
+		rt.inject(faultEvents(rt.s))
 		if err := workload.Run(rt.m, rt.fs, rt.app); err != nil {
 			t.Fatalf("app died despite RF=3: %v", err)
 		}
@@ -189,7 +189,7 @@ func TestZoneOutageRF3PaperScale(t *testing.T) {
 				t.Fatalf("app error despite RF=3: %v", err)
 			}
 		}
-		return rt.report(s), fileImage(rt.m.PFS)
+		return rt.report(), fileImage(rt.m.PFS)
 	}
 
 	// ESCAT's quadrature writes start at ~170 s and run to the end; a 60 s

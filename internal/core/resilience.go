@@ -1,20 +1,25 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/analysis"
-	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/pfs"
 )
 
 // Resilience reduces a single-attempt report to the analysis-layer
 // resilience summary (exposure, per-fault latency impact, failover counters).
-func (r *Report) Resilience() analysis.ResilienceReport {
+func (r *Report) Resilience() analysis.ResilienceReport { return r.resilience(r.Incidents) }
+
+// resilience is r's summary with the per-fault latency impact measured
+// against the incidents incs, on r's clock.
+func (r *Report) resilience(incs []fault.Incident) analysis.ResilienceReport {
 	return analysis.ResilienceReport{
 		Wall:              r.Wall,
 		Attempts:          1,
 		Exposure:          analysis.Exposures(r.Incidents),
-		Impacts:           analysis.FaultImpacts(r.Events, r.Incidents),
+		Impacts:           analysis.FaultImpacts(r.Events, incs),
 		Timeouts:          r.Failover.Timeouts,
 		Retries:           r.Failover.Retries,
 		Reroutes:          r.Failover.Reroutes,
@@ -60,24 +65,11 @@ func repairSummary(s pfs.RepairStats, incs []fault.Incident, enabled bool) analy
 }
 
 // Resilience reduces the resilient run to the analysis-layer summary. The
-// per-fault latency impact covers the successful attempt (the one whose full
-// trace survives); exposure spans the whole timeline.
+// per-fault latency impact and the failover counters cover the successful
+// attempt (the one whose full trace survives); exposure spans the whole
+// timeline.
 func (rr *ResilientReport) Resilience() analysis.ResilienceReport {
-	out := analysis.ResilienceReport{
-		Wall:         rr.Wall,
-		Attempts:     len(rr.Attempts),
-		LostWork:     rr.LostWork,
-		Checkpoints:  rr.Ckpt.Checkpoints,
-		CkptOverhead: rr.Ckpt.Overhead,
-		Restores:     rr.Ckpt.Restores,
-		RestoreTime:  rr.Ckpt.RestoreTime,
-		Exposure:     analysis.Exposures(rr.Incidents),
-	}
-	for _, a := range rr.Attempts {
-		if a.Failed {
-			out.Failures++
-		}
-	}
+	var out analysis.ResilienceReport
 	if rr.Final != nil && len(rr.Attempts) > 0 {
 		// Rebase the final attempt's incidents onto its local clock so they
 		// line up with the surviving trace.
@@ -87,22 +79,20 @@ func (rr *ResilientReport) Resilience() analysis.ResilienceReport {
 			if inc.End <= start {
 				continue
 			}
-			inc.Start -= start
-			if inc.Start < 0 {
-				inc.Start = 0
-			}
+			inc.Start = max(inc.Start-start, 0)
 			inc.End -= start
 			local = append(local, inc)
 		}
-		out.Impacts = analysis.FaultImpacts(rr.Final.Events, local)
-		out.Timeouts = rr.Final.Failover.Timeouts
-		out.Retries = rr.Final.Failover.Retries
-		out.Reroutes = rr.Final.Failover.Reroutes
-		out.MirrorWrites = rr.Final.Failover.MirrorWrites
-		out.FailedOps = rr.Final.Failover.Failed
-		out.BackoffTime = rr.Final.Failover.BackoffTime
-		out.ReplicationFactor = rr.Final.ReplicationFactor
-		out.Repair = repairSummary(rr.Final.Repair.Capped(rr.Final.Wall), rr.Final.Incidents, rr.Final.RepairEnabled())
+		out = rr.Final.resilience(local)
+	}
+	out.Wall, out.Attempts, out.LostWork = rr.Wall, len(rr.Attempts), rr.LostWork
+	out.Checkpoints, out.CkptOverhead = rr.Ckpt.Checkpoints, rr.Ckpt.Overhead
+	out.Restores, out.RestoreTime = rr.Ckpt.Restores, rr.Ckpt.RestoreTime
+	out.Exposure = analysis.Exposures(rr.Incidents)
+	for _, a := range rr.Attempts {
+		if a.Failed {
+			out.Failures++
+		}
 	}
 	return out
 }
@@ -111,19 +101,18 @@ func (rr *ResilientReport) Resilience() analysis.ResilienceReport {
 // (0 meaning no checkpoints) and collects the overhead-versus-lost-work
 // curve. Every run replays the same materialized fault schedule.
 func TradeoffSweep(rs ResilientStudy, intervals []int) ([]analysis.TradeoffPoint, error) {
-	return exec.Map(intervals, func(_ int, iv int) (analysis.TradeoffPoint, error) {
-		r := rs
-		r.Ckpt.Interval = iv
-		rr, err := RunResilient(r)
-		if err != nil {
-			return analysis.TradeoffPoint{}, err
-		}
+	cells := make([]sweepCell, len(intervals))
+	for i, iv := range intervals {
+		cells[i] = sweepCell{fmt.Sprintf("interval %d", iv), rs}
+		cells[i].plan.Ckpt.Interval = iv
+	}
+	return runSweep("tradeoff sweep", cells, nil, func(i int, rr *ResilientReport) analysis.TradeoffPoint {
 		return analysis.TradeoffPoint{
-			Interval:    iv,
+			Interval:    intervals[i],
 			Checkpoints: rr.Ckpt.Checkpoints,
 			Overhead:    rr.Ckpt.Overhead,
 			LostWork:    rr.LostWork,
 			Wall:        rr.Wall,
-		}, nil
+		}
 	})
 }

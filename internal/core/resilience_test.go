@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ckpt"
+	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 func TestResilienceSummaryFromResilientRun(t *testing.T) {
@@ -31,6 +33,23 @@ func TestResilienceSummaryFromResilientRun(t *testing.T) {
 		!strings.Contains(text, "2 attempts, 1 failures") {
 		t.Errorf("render:\n%s", text)
 	}
+
+	// With the repair plane on, the durability line counts every I/O-node
+	// outage on the surviving attempt's timeline.
+	rs := ResilientStudy{Study: replicatedStudy(ESCAT, 3), RestartCost: 1500 * sim.Millisecond}
+	rs.Faults = zoneOutagePlan(16, 3*sim.Second, sim.Second)
+	if rr, err = RunResilient(rs); err != nil {
+		t.Fatal(err)
+	}
+	var outages int64
+	for _, inc := range rr.Incidents {
+		if inc.Kind == fault.IONodeOutage {
+			outages++
+		}
+	}
+	if got := rr.Resilience().Repair.Outages; outages == 0 || got != outages {
+		t.Errorf("repair summary counts %d outages, timeline has %d", got, outages)
+	}
 }
 
 func TestTradeoffSweepMonotoneLostWork(t *testing.T) {
@@ -55,6 +74,13 @@ func TestTradeoffSweepMonotoneLostWork(t *testing.T) {
 	out := analysis.RenderTradeoff(pts)
 	if !strings.Contains(out, "none") || !strings.Contains(out, "2") {
 		t.Errorf("render:\n%s", out)
+	}
+
+	// A failing cell's error names the sweep and the cell: RENDER has no
+	// work loop to checkpoint.
+	_, err = TradeoffSweep(ResilientStudy{Study: SmallStudy(RENDER)}, []int{0, 1})
+	if err == nil || !strings.Contains(err.Error(), "tradeoff sweep: interval 1: ") {
+		t.Errorf("RENDER at interval 1: got %v, want an error naming the tradeoff sweep and interval 1", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/apps/escat"
-	"repro/internal/exec"
 	"repro/internal/sim"
 )
 
@@ -24,7 +23,8 @@ type ScalingPoint struct {
 // processors" and §8's warning that small-request patterns do not ride the
 // hardware's parallelism.
 func ESCATScaling(nodeCounts []int, iterations int) ([]ScalingPoint, error) {
-	return exec.Map(nodeCounts, func(_ int, n int) (ScalingPoint, error) {
+	cells := make([]sweepCell, len(nodeCounts))
+	for i, n := range nodeCounts {
 		cfg := escat.DefaultConfig()
 		cfg.Nodes = n
 		cfg.Iterations = iterations
@@ -33,18 +33,18 @@ func ESCATScaling(nodeCounts []int, iterations int) ([]ScalingPoint, error) {
 		study := PaperStudy(ESCAT)
 		study.ESCATConfig = &cfg
 		study.Machine.ComputeNodes = n
-		r, err := Run(study)
-		if err != nil {
-			return ScalingPoint{}, fmt.Errorf("scaling at %d nodes: %w", n, err)
-		}
-		pt := ScalingPoint{Nodes: n, Wall: r.Wall, IOTime: r.Summary.Total.NodeTime}
+		cells[i] = sweepCell{fmt.Sprintf("%d nodes", n), job(study)}
+	}
+	return runSweep("scaling sweep", cells, nil, func(i int, rr *ResilientReport) ScalingPoint {
+		r := rr.Final
+		pt := ScalingPoint{Nodes: nodeCounts[i], Wall: r.Wall, IOTime: r.Summary.Total.NodeTime}
 		if w := r.Summary.Row("Write"); w != nil {
 			pt.SeekWrite += w.NodeTime
 		}
 		if s := r.Summary.Row("Seek"); s != nil {
 			pt.SeekWrite += s.NodeTime
 		}
-		return pt, nil
+		return pt
 	})
 }
 

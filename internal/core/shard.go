@@ -19,16 +19,12 @@
 // holds the fleet to it for every app × mode × feature combination.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/fault"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // FleetOptions configure a sharded fleet run.
 type FleetOptions struct {
-	// Cells is the number of independent machine cells (>= 1).
+	// Cells is the number of independent machine cells (>= 1); 0 runs the
+	// study on a machine of its own, outside the fabric.
 	Cells int
 
 	// Stagger is the launch delay between consecutive cells, modeling a
@@ -60,109 +56,13 @@ type FleetReport struct {
 	Fabric sim.FabricStats
 }
 
-// fleetCell bundles one cell's prepared runtime and its fabric shard.
-type fleetCell struct {
-	study     Study
-	rt        *runtime
-	inj       *fault.Injector
-	shard     *sim.Shard
-	start     sim.Time
-	launchErr error
-}
-
-// RunFleet executes opts.Cells instances of the study as a sharded fleet.
-// Results are byte-identical at every Shards value; errors are reported for
-// the lowest-indexed failing cell, mirroring the sweep executor's
-// deterministic error choice.
+// RunFleet executes opts.Cells instances of the study as a sharded fleet,
+// one attempt per cell (see Execute). Results are byte-identical at every
+// Shards value; errors are reported for the lowest-indexed failing cell,
+// mirroring the sweep executor's deterministic error choice.
 func RunFleet(s Study, opts FleetOptions) (*FleetReport, error) {
-	fr, _, err := runFleet(s, opts)
+	_, fr, err := Execute(Plan{Study: s, Fleet: opts, MaxAttempts: 1})
 	return fr, err
-}
-
-// runFleet is RunFleet exposing the per-cell runtimes, which the shard-count
-// determinism oracle fingerprints directly.
-func runFleet(s Study, opts FleetOptions) (*FleetReport, []*fleetCell, error) {
-	if opts.Cells < 1 {
-		return nil, nil, fmt.Errorf("core: fleet needs >= 1 cell, got %d", opts.Cells)
-	}
-	if opts.Stagger < 0 {
-		return nil, nil, fmt.Errorf("core: negative fleet stagger %v", opts.Stagger)
-	}
-
-	fab := sim.NewFabric(opts.Shards)
-	coord := fab.AddShard("coordinator", opts.Seed)
-	cellSeeds := sim.NewRNG(s.FaultSeed)
-	cells := make([]*fleetCell, opts.Cells)
-	defer func() {
-		// Every prepared cell is spent when the fleet returns, whatever the
-		// outcome.
-		for _, c := range cells {
-			if c != nil {
-				c.rt.retire()
-			}
-		}
-	}()
-	for i := range cells {
-		cs := s
-		if i > 0 {
-			// Independent chaos per cell, all derived from the one study
-			// seed; cell 0 keeps the study's own timeline.
-			cs.FaultSeed = cellSeeds.Uint64()
-		}
-		shard := fab.AddShard(fmt.Sprintf("cell%d", i), opts.Seed)
-		cs, rt, err := prepare(cs, shard.Engine(), nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
-		}
-		lookahead := rt.m.Mesh.Lookahead()
-		fab.Connect(coord, shard, lookahead)
-		start := lookahead + opts.Stagger*sim.Time(i)
-
-		events := faultEvents(cs)
-		// The plan's instants are relative to the job, not the fleet: shift
-		// them past the cell's launch.
-		for j := range events {
-			events[j].At += start
-		}
-		cells[i] = &fleetCell{study: cs, rt: rt, inj: rt.inject(cs, events), shard: shard, start: start}
-	}
-
-	coord.Engine().Spawn("launcher", func(p *sim.Process) {
-		for _, c := range cells {
-			c := c
-			coord.Send(p, c.shard, c.start, "launch:"+c.shard.Name(), func(lp *sim.Process) {
-				if err := c.rt.app.Launch(c.rt.m, c.rt.fs); err != nil {
-					c.launchErr = fmt.Errorf("%s: launch: %w", c.rt.app.Name(), err)
-					lp.Engine().Stop()
-				}
-			})
-		}
-	})
-
-	if err := fab.Run(); err != nil {
-		return nil, nil, fmt.Errorf("core: fleet: %w", err)
-	}
-
-	fr := &FleetReport{
-		Cells:  make([]*Report, opts.Cells),
-		Starts: make([]sim.Time, opts.Cells),
-		Fabric: fab.Stats(),
-	}
-	for i, c := range cells {
-		if c.launchErr != nil {
-			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, c.launchErr)
-		}
-		if err := jobErr(c.study, c.rt, c.inj); err != nil {
-			return nil, nil, fmt.Errorf("core: fleet cell %d: %w", i, err)
-		}
-		r := finishReport(c.study, c.rt, c.inj)
-		fr.Cells[i] = r
-		fr.Starts[i] = c.start
-		if r.Wall > fr.Makespan {
-			fr.Makespan = r.Wall
-		}
-	}
-	return fr, cells, nil
 }
 
 // ShardedOptions are RunSharded's options. Every field is accepted and

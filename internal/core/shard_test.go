@@ -22,16 +22,16 @@ var shardCounts = []int{1, 2, 4, 8}
 // across shard counts: each cell's final file image (with audit verdicts and
 // per-node checksum coverage), its full trace digest, and the headline
 // report numbers.
-func fleetFingerprint(fr *FleetReport, cells []*fleetCell) string {
+func fleetFingerprint(fr *FleetReport, images []string) string {
 	var b strings.Builder
-	for i, c := range cells {
+	for i, image := range images {
 		r := fr.Cells[i]
 		fmt.Fprintf(&b, "== cell %d start=%d wall=%d events=%d trace=%016x\n",
 			i, fr.Starts[i], r.Wall, len(r.Events), traceDigest(r.Events))
 		fmt.Fprintf(&b, "summary %+v\n", r.Summary)
 		fmt.Fprintf(&b, "incidents %d failover %+v repair %+v\n",
 			len(r.Incidents), r.Failover, r.Repair)
-		b.WriteString(fingerprint(c.rt.m.PFS))
+		b.WriteString(image)
 	}
 	fmt.Fprintf(&b, "makespan %d\n", fr.Makespan)
 	return b.String()
@@ -50,14 +50,17 @@ func traceDigest(events []iotrace.Event) uint64 {
 // fleetImage runs one fleet configuration and fingerprints it.
 func fleetImage(t *testing.T, s Study, opts FleetOptions) string {
 	t.Helper()
-	fr, cells, err := runFleet(s, opts)
+	images := make([]string, opts.Cells)
+	_, fr, err := Execute(Plan{Study: s, Fleet: opts, inspect: func(cell int, fs *pfs.FileSystem) {
+		images[cell] = fingerprint(fs)
+	}})
 	if err != nil {
 		t.Fatalf("fleet (shards=%d): %v", opts.Shards, err)
 	}
 	if want := int64(opts.Cells); fr.Fabric.Mail != want {
 		t.Fatalf("fleet delivered %d launch mails, want %d", fr.Fabric.Mail, want)
 	}
-	return fleetFingerprint(fr, cells)
+	return fleetFingerprint(fr, images)
 }
 
 // TestFleetByteIdenticalAcrossShardCounts is the acceptance oracle for the

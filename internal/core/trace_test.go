@@ -80,7 +80,7 @@ func TestTraceHintBoundsEvents(t *testing.T) {
 		for _, app := range Apps() {
 			t.Run(scale.name+"/"+string(app), func(t *testing.T) {
 				s := scale.study(app)
-				_, rt, err := prepare(s, nil, nil)
+				rt, err := prepare(s, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

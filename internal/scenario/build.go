@@ -22,29 +22,29 @@ import (
 // chaosWindowDefault is chaos.window_s's default, as -chaos-window's.
 const chaosWindowDefault = 600
 
-// Build expands the scenario into the resilient study the core driver runs,
-// plus the realized fleet (for reporting). It is the one mapping from user
+// Build expands the scenario into the plan the core driver executes, plus
+// the realized fleet (for reporting). It is the one mapping from user
 // settings to a study: the iochar and stress flags are shorthand for
 // scenario fields and reach the study through here too, so a default-shape
 // scenario reproduces the flag-driven run byte for byte.
-func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
-	var rs core.ResilientStudy
-	study := s.baseStudy()
+func (s *Scenario) Build() (core.Plan, *Fleet, error) {
+	p := s.plan()
+	study := &p.Study
 	fleet, err := expandFleet(s, study.Machine.ComputeNodes, study.Machine.PFS.IONodes, study.Machine.PFS.Disk)
 	if err != nil {
-		return rs, nil, s.fail(err)
+		return p, nil, s.fail(err)
 	}
-	if err := s.applyFleet(&study, fleet); err != nil {
-		return rs, nil, s.fail(err)
+	if err := s.applyFleet(study, fleet); err != nil {
+		return p, nil, s.fail(err)
 	}
-	if err := s.applyFeatures(&study, fleet); err != nil {
-		return rs, nil, s.fail(err)
+	if err := s.applyFeatures(study, fleet); err != nil {
+		return p, nil, s.fail(err)
 	}
-	plan, err := s.buildPlan(fleet)
+	faults, err := s.buildPlan(fleet)
 	if err != nil {
-		return rs, nil, s.fail(err)
+		return p, nil, s.fail(err)
 	}
-	if !plan.Corruption.Empty() {
+	if !faults.Corruption.Empty() {
 		// Unrepairable corruption classes need reroute-on-read so corrupt
 		// reads heal from the mirror instead of killing the run, and the
 		// checksum and client reliability layers to detect and retry them.
@@ -59,27 +59,44 @@ func (s *Scenario) Build() (core.ResilientStudy, *Fleet, error) {
 			study.Machine.PFS.Integrity = integrity.DefaultConfig()
 		}
 	}
-	study.Faults = plan
+	study.Faults = faults
 	study.FaultSeed = s.Seed
 	if s.Workload.WindowS > 0 {
 		study.WindowWidth = sim.FromSeconds(s.Workload.WindowS)
 	}
+	return p, fleet, nil
+}
 
-	rs = core.ResilientStudy{
-		Study:       study,
+// plan maps the scenario's run shape onto a core plan: the base study (app,
+// scale and policy layer), whether the burst tier is on, the cells and the
+// attempt policy. Validate checks its shape with core.Plan.Validate; Build
+// fills in the rest of the study.
+func (s *Scenario) plan() core.Plan {
+	p := core.Plan{
+		Study:       s.baseStudy(),
 		MaxAttempts: s.Run.MaxAttempts,
 		RestartCost: sim.FromSeconds(1.5),
+		Fleet:       core.FleetOptions{Shards: s.Shards, Seed: s.Seed},
+	}
+	// applyFeatures fills in the rest of the tier's configuration.
+	p.Burst.Enabled = s.burstEnabled()
+	if fg := s.FleetGen; fg != nil {
+		if fg.Cells != 1 {
+			// One cell is the single-machine shape.
+			p.Fleet.Cells = fg.Cells
+		}
+		p.Fleet.Stagger = sim.FromSeconds(fg.StaggerS)
 	}
 	if s.Run.RestartCostS != nil {
-		rs.RestartCost = sim.FromSeconds(*s.Run.RestartCostS)
+		p.RestartCost = sim.FromSeconds(*s.Run.RestartCostS)
 	}
 	if iv := s.ckptInterval(); iv > 0 {
-		rs.Ckpt = ckpt.Config{Interval: iv, BytesPerNode: 4096}
+		p.Ckpt = ckpt.Config{Interval: iv, BytesPerNode: 4096}
 		if s.Run.CkptBytes != nil {
-			rs.Ckpt.BytesPerNode = *s.Run.CkptBytes
+			p.Ckpt.BytesPerNode = *s.Run.CkptBytes
 		}
 	}
-	return rs, fleet, nil
+	return p
 }
 
 func (s *Scenario) fail(err error) error {

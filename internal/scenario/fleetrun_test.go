@@ -67,16 +67,18 @@ func TestExecuteFleetByteIdenticalAcrossShards(t *testing.T) {
 }
 
 // TestFleetOptionsMapping checks the scenario → core.FleetOptions
-// translation and the single-machine fallthrough.
+// translation of Build's plan and the single-machine fallthrough.
 func TestFleetOptionsMapping(t *testing.T) {
 	sc, err := Parse([]byte(fleetScenarioSrc), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo, ok := sc.FleetOptions(4)
-	if !ok {
-		t.Fatal("cells=3 scenario reported no fleet options")
+	sc.Shards = 4
+	plan, _, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
+	fo := plan.Fleet
 	if fo.Cells != 3 || fo.Shards != 4 || fo.Seed != 9 {
 		t.Fatalf("fleet options %+v: want cells=3 shards=4 seed=9", fo)
 	}
@@ -84,12 +86,14 @@ func TestFleetOptionsMapping(t *testing.T) {
 		t.Fatalf("stagger %v, want 50ms", fo.Stagger)
 	}
 
-	single, err := Parse([]byte("workload:\n  app: escat\n"), "t.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := single.FleetOptions(4); ok {
-		t.Fatal("single-machine scenario reported fleet options")
+	for _, src := range []string{"workload:\n  app: escat\n", "workload:\n  app: escat\nfleet_gen:\n  cells: 1\n"} {
+		single, err := Parse([]byte(src), "t.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, _, err := single.Build(); err != nil || plan.Fleet.Cells != 0 {
+			t.Fatalf("%q: single-machine scenario planned %d cells (err %v)", src, plan.Fleet.Cells, err)
+		}
 	}
 }
 

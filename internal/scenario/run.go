@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // Result is one executed scenario: the run's report, the measured
@@ -14,15 +13,15 @@ type Result struct {
 	Scenario *Scenario
 	Fleet    *Fleet
 
-	// Report is the resilience driver's report; non-nil even when the run
-	// exhausted its attempts. RunErr is the driver's completion error. For
-	// a multi-cell scenario it is the fleet report adapted to the same
-	// shape (see FleetResilientReport) and FleetRun carries the original.
+	// Report is the attempt-level report (core.Execute); non-nil even when
+	// the run exhausted its attempts. RunErr is the driver's completion
+	// error.
 	Report *core.ResilientReport
 	RunErr error
 
-	// FleetRun is the sharded-fleet report for scenarios with
-	// fleet_gen.cells > 1; nil for single-machine runs.
+	// FleetRun is the per-cell report: the cells of a scenario with
+	// fleet_gen.cells > 1, the one machine otherwise. Nil when the run did
+	// not complete.
 	FleetRun *core.FleetReport
 
 	M      Measurements
@@ -35,82 +34,34 @@ type Result struct {
 // scenario simply recorded what happened).
 func (r *Result) Pass() bool { return Passed(r.Checks) }
 
-// Run builds and executes the scenario. An error return means the scenario
-// could not run at all (bad configuration); an unfinished run is not an
-// error — it surfaces as Outcome "failed" for the assertions to judge.
+// Execute builds and runs the scenario. An error return means the scenario
+// could not run at all (bad configuration, or a fleet cell that failed); an
+// unfinished run is not an error — it surfaces as Outcome "failed" for the
+// assertions to judge.
 func (r *Scenario) Execute() (*Result, error) {
-	rs, fleet, err := r.Build()
+	plan, fleet, err := r.Build()
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Scenario: r, Fleet: fleet}
-	if fo, isFleet := r.FleetOptions(r.Shards); isFleet {
-		// A fleet runs one attempt per cell, no restart loop, and the
-		// measurement layer reads the representative cell's event trace. A
-		// failure there is a configuration or launch error, not an
-		// assertable outcome, so it fails Execute.
-		traced := rs.Study
-		traced.KeepTrace = true
-		res.FleetRun, err = core.RunFleet(traced, fo)
-		if err == nil {
-			res.Report = FleetResilientReport(res.FleetRun)
-		}
-	} else {
-		res.Report, res.RunErr = core.RunResilient(rs)
-		if res.Report == nil {
-			// No report at all: the study itself was rejected.
-			err = res.RunErr
-		}
-	}
-	if err != nil {
-		return nil, r.fail(err)
+	res.Report, res.FleetRun, res.RunErr = core.Execute(plan)
+	if res.Report == nil {
+		// No report at all: the plan itself was rejected or a cell failed.
+		return nil, r.fail(res.RunErr)
 	}
 	res.M = Measure(res.Report, res.RunErr)
 	res.Checks = r.Assertions.Evaluate(res.M)
 	return res, nil
 }
 
-// FleetOptions returns the sharded-fleet options a multi-cell scenario runs
-// under; ok is false for the default single-machine shape. shards is the
-// CLI's -shards value (0 = GOMAXPROCS, 1 = the serial oracle).
-func (r *Scenario) FleetOptions(shards int) (core.FleetOptions, bool) {
-	if r.cells() <= 1 {
-		return core.FleetOptions{}, false
-	}
-	var stagger sim.Time
-	if r.FleetGen.StaggerS > 0 {
-		stagger = sim.FromSeconds(r.FleetGen.StaggerS)
-	}
-	return core.FleetOptions{
-		Cells:   r.cells(),
-		Stagger: stagger,
-		Shards:  shards,
-		Seed:    r.Seed,
-	}, true
-}
-
-// FleetResilientReport adapts a fleet report to the resilient-report shape
-// the measurement and rendering layers consume: one completed "attempt" per
-// cell (a fleet run fails fast instead of restarting), cell 0 as the
-// representative report — it keeps the study's own fault timeline, so its
-// trace-derived measurements match the single-machine run's — the
-// concatenated incident log in cell order, and the fleet makespan as the
-// wall clock.
-func FleetResilientReport(fr *core.FleetReport) *core.ResilientReport {
-	rr := &core.ResilientReport{Final: fr.Cells[0], Wall: fr.Makespan}
-	for i, r := range fr.Cells {
-		rr.Attempts = append(rr.Attempts, core.Attempt{Start: fr.Starts[i], End: r.Wall})
-		rr.Incidents = append(rr.Incidents, r.Incidents...)
-	}
-	return rr
-}
-
-// RenderFleetRun formats the fleet-level outcome of a multi-cell scenario.
+// RenderFleetRun formats the fleet-level outcome of a multi-cell run; empty
+// for a single machine, which runs outside the fabric.
 func RenderFleetRun(fr *core.FleetReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet run: %d cells on %d shards (%d workers), %d launch mails, makespan %.3fs\n",
+	if fr == nil || fr.Fabric.Shards == 0 {
+		return ""
+	}
+	return fmt.Sprintf("Fleet run: %d cells on %d shards (%d workers), %d launch mails, makespan %.3fs\n",
 		len(fr.Cells), fr.Fabric.Shards, fr.Fabric.Workers, fr.Fabric.Mail, fr.Makespan.Seconds())
-	return b.String()
 }
 
 // RenderFleet formats the realized fleet as a report section; empty for the

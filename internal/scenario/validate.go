@@ -60,6 +60,9 @@ func (s *Scenario) Validate() error {
 	if err := s.validateRun(); err != nil {
 		return err
 	}
+	if err := s.plan().Validate(); err != nil {
+		return err
+	}
 	return s.validateAssertions()
 }
 
@@ -76,15 +79,6 @@ func (s *Scenario) validateFleetGen() error {
 	}
 	if fg.StripeKB < 0 {
 		return fmt.Errorf("fleet_gen.stripe_kb %g is negative", fg.StripeKB)
-	}
-	if fg.Cells < 0 {
-		return fmt.Errorf("fleet_gen.cells %d is negative", fg.Cells)
-	}
-	if fg.StaggerS < 0 {
-		return fmt.Errorf("fleet_gen.stagger_s %g is negative", fg.StaggerS)
-	}
-	if fg.StaggerS > 0 && fg.Cells <= 1 {
-		return fmt.Errorf("fleet_gen.stagger_s needs cells > 1")
 	}
 	switch {
 	case fg.ShardLayout == "" || fg.ShardLayout == "single":
@@ -175,9 +169,6 @@ func (s *Scenario) validateFeatures() error {
 	if b := f.Burst; b != nil && b.Enabled {
 		if (b.MB != nil && *b.MB < 0) || b.DrainMBs < 0 {
 			return fmt.Errorf("features.burst: mb and drain_mb_s must be >= 0")
-		}
-		if s.policy() != "none" {
-			return fmt.Errorf("features.burst and workload.policy %q are mutually exclusive (both are client-side layers over the same seam)", s.policy())
 		}
 	}
 	if r := f.Reliability; r != nil && r.Enabled {
@@ -285,19 +276,6 @@ func (s *Scenario) validateRun() error {
 	if r.CkptInterval != nil && *r.CkptInterval < 0 {
 		return fmt.Errorf("run.ckpt_interval %d is negative", *r.CkptInterval)
 	}
-	if s.Workload.App == "render" && s.ckptInterval() > 0 {
-		return fmt.Errorf("run.ckpt_interval: render does not support checkpointing (set ckpt_interval: 0)")
-	}
-	if s.cells() > 1 {
-		// A multi-cell fleet runs one attempt per cell on the sharded
-		// engine; the checkpoint/restart loop is a single-machine driver.
-		if r.CkptInterval != nil && *r.CkptInterval > 0 {
-			return fmt.Errorf("run.ckpt_interval: fleet_gen.cells > 1 runs a single attempt per cell (set ckpt_interval: 0)")
-		}
-		if r.MaxAttempts > 1 {
-			return fmt.Errorf("run.max_attempts: fleet_gen.cells > 1 runs a single attempt per cell")
-		}
-	}
 	if r.CkptBytes != nil && *r.CkptBytes < 0 {
 		return fmt.Errorf("run.ckpt_bytes %d is negative", *r.CkptBytes)
 	}
@@ -381,26 +359,15 @@ func (s *Scenario) ioNodes() int {
 	return 16
 }
 
-// cells returns the fleet's cell count; 1 is the single-machine shape.
-func (s *Scenario) cells() int {
-	if s.FleetGen != nil && s.FleetGen.Cells > 1 {
-		return s.FleetGen.Cells
-	}
-	return 1
-}
-
 // ckptInterval returns the checkpoint interval: the stress command's default
-// of 2 when unset, the explicit value (including 0 = off) otherwise. render
-// never checkpoints — it has no checkpointable work loop — and multi-cell
-// fleets run single attempts (validateRun rejects an explicit interval).
+// of 2 when unset, the explicit value (including 0 = off) otherwise. Unset,
+// render never checkpoints — it has no checkpointable work loop — and
+// multi-cell fleets run single attempts.
 func (s *Scenario) ckptInterval() int {
-	if s.cells() > 1 {
-		return 0
-	}
-	if s.Run.CkptInterval != nil {
+	switch {
+	case s.Run.CkptInterval != nil:
 		return *s.Run.CkptInterval
-	}
-	if s.Workload.App == "render" {
+	case s.Workload.App == "render" || (s.FleetGen != nil && s.FleetGen.Cells > 1):
 		return 0
 	}
 	return 2

@@ -480,6 +480,9 @@ func TestTimeConversions(t *testing.T) {
 	if FromSeconds(1.5) != 1500*Millisecond {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
 	}
+	if FromSeconds(-0.5) != -500*Millisecond {
+		t.Fatalf("FromSeconds(-0.5) = %v", FromSeconds(-0.5))
+	}
 	if FromMilliseconds(2.5) != 2500*Microsecond {
 		t.Fatalf("FromMilliseconds(2.5) = %v", FromMilliseconds(2.5))
 	}

@@ -27,8 +27,13 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
 // FromSeconds converts floating-point seconds into simulated Time, rounding
-// to the nearest microsecond.
-func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
+// to the nearest microsecond (half away from zero, negative values too).
+func FromSeconds(s float64) Time {
+	if s < 0 {
+		return -FromSeconds(-s)
+	}
+	return Time(s*float64(Second) + 0.5)
+}
 
 // FromMilliseconds converts floating-point milliseconds into simulated Time.
 func FromMilliseconds(ms float64) Time { return Time(ms*float64(Millisecond) + 0.5) }
